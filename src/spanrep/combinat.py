@@ -24,6 +24,8 @@ __all__ = [
     "maj",
     "pad",
     "partitions_of",
+    "perm_inverse",
+    "perm_of_type",
     "q_binomial",
     "syt_count",
     "syt_enumerate",
@@ -223,6 +225,26 @@ def partitions_of(n: int) -> list[Partition]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return [Partition(t) for t in _partition_tuples(n, n)]
+
+
+def perm_of_type(rho: Partition, n: int) -> tuple[int, ...]:
+    """A representative permutation with the given cycle type (w[i] = image)."""
+    if rho.size != n:
+        raise ValueError(f"cycle type {rho.parts} is not a partition of {n}")
+    w = list(range(n))
+    start = 0
+    for part in rho.parts:
+        for j in range(part):
+            w[start + j] = start + (j + 1) % part
+        start += part
+    return tuple(w)
+
+
+def perm_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(w)
+    for i, wi in enumerate(w):
+        inv[wi] = i
+    return tuple(inv)
 
 
 def pad(mu: Partition, n: int) -> Partition:

@@ -1,15 +1,20 @@
 """Brute-force ground truth: exact linear algebra on graded quotient rings.
 
-Ideal pieces are spanned degree by degree with {monomial x generator}
-products and row-reduced over exact rationals -- no Groebner machinery.
+The spanning-line ring Q[x]/<x_i^k, e_n, ..., e_{n-k+1}> is computed as a
+quotient of the truncated ring A = Q[x]/<x_i^k>, whose basis is the
+monomials with every exponent below k.  The ideal piece of degree d is
+spanned degree by degree, as the x_j-multiples of the degree-(d-1) piece
+plus the generators of degree d, and row-reduced exactly with integer
+rows -- no Groebner machinery, and nothing from the tableau formula.
 Traces of permutations on quotients are (fixed monomials) minus the trace
 on the ideal subspace, the latter read off pivot coordinates of the
 reduced echelon basis (valid because the ideals are stable under the
 subscript action; tests exercise that stability directly).
 
-Scale guards: the commuting oracle refuses n > 7, superspace quotients
-refuse n > 5, and the Grassmann oracle refuses d*n > 8.  These fail
-loudly rather than thrash.
+Scale guards: the commuting oracle refuses n > 7 and any request whose
+largest piece A_d has more than COMMUTING_MAX_PIECE monomials (counted
+before any work), superspace quotients refuse n > 5, and the Grassmann
+oracle refuses d*n > 8.  These fail loudly rather than thrash.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .combinat import GradedPoly, Partition, partitions_of
+from .combinat import GradedPoly, Partition, partitions_of, perm_of_type
 from .errors import ScaleGuardError
-from .linalg import EchelonBasis
-from .superspace import SuperMonomial, apply_perm, mono_mul
+from .linalg import EchelonBasis, stable_trace
+from .superspace import SuperMonomial, apply_perm, mono_mul, subscript_coordinate
 from .symfun import ClassFunction, SchurExpansion, dimension, schur_decompose
 
 __all__ = [
@@ -39,6 +44,11 @@ __all__ = [
 ]
 
 COMMUTING_MAX_N = 7
+# Largest truncated piece A_d the commuting oracle will span, in monomials.
+# It admits every (n, k) with n <= 6, including (6,6) at 4,332, and n = 7
+# up to k = 5 (8,135; about 20 s and 180 MB on a 2-vCPU Xeon VM); it
+# refuses (7,6) at 24,017 and (7,7) at 60,691.
+COMMUTING_MAX_PIECE = 10_000
 SUPER_QUOTIENT_MAX_N = 5
 GRASSMANN_MAX_VARS = 8
 
@@ -51,15 +61,21 @@ def _guard(cond: bool, message: str) -> None:
 
 
 @cache
-def monomials_of_degree(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples of total degree d, lexicographically ascending."""
+def _bounded_monomials(nvars: int, d: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of total degree d with every exponent below bound,
+    lexicographically ascending."""
     if nvars == 0:
         return ((),) if d == 0 else ()
     out = []
-    for e in range(d + 1):
-        for rest in monomials_of_degree(nvars - 1, d - e):
+    for e in range(min(d, bound - 1) + 1):
+        for rest in _bounded_monomials(nvars - 1, d - e, bound):
             out.append((e,) + rest)
     return tuple(out)
+
+
+def monomials_of_degree(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent tuples of total degree d, lexicographically ascending."""
+    return _bounded_monomials(nvars, d, d + 1)
 
 
 def elementary_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
@@ -96,82 +112,103 @@ def complete_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
     return out
 
 
-def _power_poly(i: int, k: int, nvars: int) -> Poly:
-    exps = [0] * nvars
-    exps[i] = k
-    return {tuple(exps): 1}
-
-
-def _shift(poly: Poly, mono: tuple[int, ...]) -> Poly:
-    return {tuple(e + m for e, m in zip(exps, mono)): c for exps, c in poly.items()}
-
-
 def _poly_degree(poly: Poly) -> int:
     return sum(next(iter(poly)))
 
 
-@cache
-def _coinvariant_generators(n: int, k: int) -> tuple[Poly, ...]:
-    """x_i^k for each i, plus the top k elementary symmetric polynomials."""
-    everyone = tuple(range(n))
-    gens = [_power_poly(i, k, n) for i in range(n)]
-    gens += [elementary_sym(j, everyone, n) for j in range(n, n - k, -1)]
-    return tuple(gens)
+def _ideal_step(
+    prev: EchelonBasis | None, generators: list[Poly], nvars: int, d: int, bound: int
+) -> EchelonBasis:
+    """Degree-d piece of a homogeneous ideal of Q[x]/<x_i^bound>.
 
-
-def _span_ideal_degree(generators: tuple[Poly, ...], nvars: int, d: int) -> EchelonBasis:
+    prev is the degree-(d-1) piece (None at d = 0) and generators are the
+    ideal's generators of degree d.  The piece is spanned by x_j * (rows of
+    prev) and the generators, with monomials reaching the bound dropped.
+    """
     basis = EchelonBasis()
     for gen in generators:
-        if not gen:
-            continue
-        gd = _poly_degree(gen)
-        if gd > d:
-            continue
-        for mono in monomials_of_degree(nvars, d - gd):
-            basis.insert(_shift(gen, mono))
+        vec = {m: c for m, c in gen.items() if max(m, default=0) < bound}
+        if vec:
+            basis.insert(vec)
+    if prev is None or not prev.rank:
+        return basis
+    # interned degree-d monomials, so products share their key objects
+    upper = {m: m for m in _bounded_monomials(nvars, d, bound)}
+    lower = _bounded_monomials(nvars, d - 1, bound)
+    rows = prev.primitive_rows()
+    for j in range(nvars):
+        times_xj = {}
+        for m in lower:
+            mm = upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :])
+            if mm is not None:
+                times_xj[m] = mm
+        for _, row in rows:
+            vec = {times_xj[m]: c for m, c in row.items() if m in times_xj}
+            if vec:
+                basis.insert(vec)
     return basis
 
 
 @cache
 def _ideal_basis(n: int, k: int, d: int) -> EchelonBasis:
-    return _span_ideal_degree(_coinvariant_generators(n, k), n, d)
+    """Degree-d piece of the ideal generated by e_n, ..., e_{n-k+1} in
+    A = Q[x]/<x_i^k>, the image of the spanning-line ideal there."""
+    prev = _ideal_basis(n, k, d - 1) if d else None
+    gens = [elementary_sym(d, tuple(range(n)), n)] if n - k < d <= n else []
+    return _ideal_step(prev, gens, n, d, k)
 
 
-def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
-    """Dimension of the degree-d quotient piece and the ideal piece in RREF."""
+@cache
+def _fixed_monomial_counts(cycles: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """Entry d: the monomials of A_d fixed by a permutation with these
+    cycle lengths.
+
+    Exponents must be constant on cycles and below k, so this is the
+    coefficient list of the product over cycles of length l of
+    1 + q^l + ... + q^(l(k-1)).  With every cycle of length 1 it counts
+    all of A_d.
+    """
+    counts = [1]
+    for ell in cycles:
+        new = [0] * (len(counts) + ell * (k - 1))
+        for i, c in enumerate(counts):
+            for e in range(k):
+                new[i + ell * e] += c
+        counts = new
+    return tuple(counts)
+
+
+def _count_fixed_monomials(cycles: tuple[int, ...], k: int, d: int) -> int:
+    counts = _fixed_monomial_counts(cycles, k)
+    return counts[d] if d < len(counts) else 0
+
+
+def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
+    """Validate (n, k) and refuse work beyond the guards before any is done.
+
+    top_degree is the highest degree piece the request will span (None
+    for all of them).
+    """
     _guard(n <= COMMUTING_MAX_N, f"commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    sizes = _fixed_monomial_counts((1,) * n, k)
+    largest = max(sizes[: None if top_degree is None else top_degree + 1], default=0)
+    _guard(
+        largest <= COMMUTING_MAX_PIECE,
+        f"commuting oracle limited to pieces of at most {COMMUTING_MAX_PIECE} monomials,"
+        f" got {largest} for n={n}, k={k}",
+    )
+
+
+def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
+    """Dimension of the degree-d quotient piece and the ideal piece of A_d
+    in RREF."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    _check_commuting(n, k, d)
     basis = _ideal_basis(n, k, d)
-    return len(monomials_of_degree(n, d)) - basis.rank, basis
-
-
-def perm_of_type(rho: Partition, n: int) -> tuple[int, ...]:
-    """A representative permutation with the given cycle type (w[i] = image)."""
-    if rho.size != n:
-        raise ValueError(f"cycle type {rho.parts} is not a partition of {n}")
-    w = list(range(n))
-    start = 0
-    for part in rho.parts:
-        for j in range(part):
-            w[start + j] = start + (j + 1) % part
-        start += part
-    return tuple(w)
-
-
-def _count_fixed_monomials(rho: Partition, d: int) -> int:
-    """Monomials of degree d fixed by a permutation of this cycle type.
-
-    Exponents must be constant on cycles, so this is the number of ways to
-    write d as a sum of cycle lengths with repetition.
-    """
-    counts = [1] + [0] * d
-    for ell in rho.parts:
-        for i in range(ell, d + 1):
-            counts[i] += counts[i - ell]
-    return counts[d]
+    return _count_fixed_monomials((1,) * n, k, d) - basis.rank, basis
 
 
 def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
@@ -180,15 +217,10 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
         raise ValueError(f"cycle type {rho.parts} is not a partition of {n}")
     _, basis = quotient_basis(n, k, d)
     w = perm_of_type(rho, n)
-    ideal_trace = Fraction(0)
-    for pivot, row in basis.rows():
-        # (w . row)[pivot] = row[w^{-1} . pivot]; exponents of the preimage
-        # monomial are read through w directly.
-        pre = tuple(pivot[w[j]] for j in range(n))
-        ideal_trace += row.get(pre, Fraction(0))
-    if ideal_trace.denominator != 1:
-        raise RuntimeError(f"non-integer ideal trace {ideal_trace}: ideal not stable?")
-    return _count_fixed_monomials(rho, d) - int(ideal_trace)
+    # (w . row)[pivot] = row[w^{-1} . pivot]; exponents of the preimage
+    # monomial are read through w directly.
+    ideal_trace = stable_trace(basis, lambda pivot, row: row.get(tuple(pivot[i] for i in w), 0))
+    return _count_fixed_monomials(rho.parts, k, d) - ideal_trace
 
 
 @dataclass(frozen=True)
@@ -224,9 +256,7 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
     result is then flagged) which keeps large-n probes affordable when
     only low degrees are needed.
     """
-    _guard(n <= COMMUTING_MAX_N, f"commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_commuting(n, k, max_degree)
     types = partitions_of(n)
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
@@ -309,19 +339,19 @@ def _invariant_basis(
         for w in perms:
             img, sign = apply_perm(mono, w)
             acc[img] = acc.get(img, 0) + sign
-        vec = {k: Fraction(v) for k, v in acc.items() if v}
+        vec = {k: v for k, v in acc.items() if v}
         if vec:
             basis.insert(vec)
     return basis
 
 
 def _mono_times_vector(mono: SuperMonomial, vec: dict) -> dict:
-    out: dict[SuperMonomial, Fraction] = {}
+    out: dict[SuperMonomial, int] = {}
     for other, c in vec.items():
         mm, sign = mono_mul(mono, other)
         if mm is None:
             continue
-        out[mm] = out.get(mm, Fraction(0)) + sign * c
+        out[mm] = out.get(mm, 0) + sign * c
     return {k: v for k, v in out.items() if v}
 
 
@@ -357,30 +387,16 @@ def decompose_super_coinvariants(
             cof_alpha = tuple(a - g for a, g in zip(alpha, gamma))
             cof_beta = tuple(b - d for b, d in zip(beta, delta))
             for cof in _multidegree_basis(n, cof_alpha, cof_beta):
-                for _, row in inv.rows():
+                for _, row in inv.primitive_rows():
                     vec = _mono_times_vector(cof, row)
                     if vec:
                         ideal.insert(vec)
     values = {}
     for rho in partitions_of(n):
         w = perm_of_type(rho, n)
-        w_inv = _w_inverse(w)
-        full = _signed_fixed_trace(basis, w)
-        ideal_trace = Fraction(0)
-        for pivot, row in ideal.rows():
-            pre, sign = apply_perm(pivot, w_inv)
-            ideal_trace += sign * row.get(pre, Fraction(0))
-        if ideal_trace.denominator != 1:
-            raise RuntimeError(f"non-integer ideal trace {ideal_trace}: ideal not stable?")
-        values[rho] = Fraction(full - int(ideal_trace))
+        ideal_trace = stable_trace(ideal, subscript_coordinate(w))
+        values[rho] = Fraction(_signed_fixed_trace(basis, w) - ideal_trace)
     return schur_decompose(ClassFunction(n, values))
-
-
-def _w_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for i, wi in enumerate(w):
-        inv[wi] = i
-    return tuple(inv)
 
 
 # -- Grassmann presentation --------------------------------------------
@@ -421,7 +437,6 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     for i in range(n):
         batch = _batch_indices(d, i)
         gens += [complete_sym(j, batch, nvars) for j in range(k, k - d, -1)]
-    generators = tuple(gens)
 
     # within-batch permutations as permutations of all d*n variables
     group: list[tuple[int, ...]] = []
@@ -435,21 +450,23 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     types = partitions_of(n)
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
+    ideal = None
     deg = 0
     while True:
-        ideal = _span_ideal_degree(generators, nvars, deg)
-        monos = monomials_of_degree(nvars, deg)
+        # no truncation: a bound of deg + 1 keeps every monomial of degree deg
+        ideal = _ideal_step(
+            ideal, [g for g in gens if _poly_degree(g) == deg], nvars, deg, deg + 1
+        )
         pivot_set = set(ideal.pivots())
-        standard = [mm for mm in monos if mm not in pivot_set]
-        qdim = len(standard)
-        if qdim:
+        standard = [mm for mm in monomials_of_degree(nvars, deg) if mm not in pivot_set]
+        if standard:
             invariants = EchelonBasis()
             for mm in standard:
                 acc: dict[tuple[int, ...], Fraction] = {}
                 for g in group:
-                    red = ideal.reduce({_apply_varperm(mm, g): Fraction(1)})
+                    red = ideal.reduce({_apply_varperm(mm, g): 1})
                     for key, c in red.items():
-                        nc = acc.get(key, Fraction(0)) + c
+                        nc = acc.get(key, 0) + c
                         if nc:
                             acc[key] = nc
                         else:
@@ -464,21 +481,16 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
                     varperm = tuple(
                         sigma[i] * d + t for i in range(n) for t in range(d)
                     )
-                    tr = Fraction(0)
-                    for pivot, row in invariants.rows():
-                        image: dict[tuple[int, ...], Fraction] = {}
-                        for mono, c in row.items():
-                            key = _apply_varperm(mono, varperm)
-                            image[key] = image.get(key, Fraction(0)) + c
-                        red = ideal.reduce(image)
-                        tr += red.get(pivot, Fraction(0))
-                    if tr.denominator != 1:
-                        raise RuntimeError(f"non-integer trace {tr} at degree {deg}")
-                    values[rho] = tr
+
+                    def coordinate(pivot, row, varperm=varperm):
+                        image = {_apply_varperm(mono, varperm): c for mono, c in row.items()}
+                        return ideal.reduce(image).get(pivot, 0)
+
+                    values[rho] = Fraction(stable_trace(invariants, coordinate))
                 exp = schur_decompose(ClassFunction(n, values))
                 by_degree[deg] = exp
                 dims[deg] = invariants.rank
-        if qdim == 0 and deg >= nvars:  # e_{d*n} is the top generator degree
+        if not standard and deg >= nvars:  # e_{d*n} is the top generator degree
             break
         deg += 1
     return GradedDecomposition(by_degree=by_degree, dims=dims)

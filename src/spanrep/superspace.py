@@ -19,14 +19,14 @@ their graded Frobenius images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .combinat import GradedPoly, Partition, partitions_of
+from .combinat import GradedPoly, partitions_of, perm_inverse, perm_of_type
 from .errors import ScaleGuardError
-from .linalg import EchelonBasis
+from .linalg import EchelonBasis, stable_trace
 from .symfun import ClassFunction, SchurExpansion, schur_decompose
 
 __all__ = [
@@ -64,12 +64,21 @@ def theta_canonical(indices: tuple[int, ...]) -> tuple[tuple[int, ...] | None, i
     return tuple(seq), sign
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SuperMonomial:
     """One monomial: exponents per commuting batch, index sets per theta batch."""
 
     xs: tuple[tuple[int, ...], ...]
     thetas: tuple[tuple[int, ...], ...]
+    # Monomials are dict keys throughout the linear algebra, and a tuple
+    # hash is recomputed on every lookup, so the hash is computed once here.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.xs, self.thetas)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def multidegree(self) -> Multidegree:
         return tuple(sum(b) for b in self.xs), tuple(len(b) for b in self.thetas)
@@ -482,21 +491,17 @@ def harmonic_closure(n: int, m: int, p: int, k: int, *, max_polarization_power: 
     return ClosureSpace(n, m, p, k, spaces)
 
 
-def _w_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for i, wi in enumerate(w):
-        inv[wi] = i
-    return tuple(inv)
+def subscript_coordinate(w: tuple[int, ...]):
+    """The coordinate(pivot, row) of :func:`stable_trace` for the diagonal
+    subscript action of w on a span of super-monomials: (w . row)[pivot]
+    is row[w^{-1} . pivot] times the theta sign."""
+    w_inv = perm_inverse(w)
 
+    def coordinate(pivot, row):
+        pre, sign = apply_perm(pivot, w_inv)
+        return sign * row.get(pre, 0)
 
-def _perm_of_type(rho: Partition, n: int) -> tuple[int, ...]:
-    w = list(range(n))
-    start = 0
-    for part in rho.parts:
-        for j in range(part):
-            w[start + j] = start + (j + 1) % part
-        start += part
-    return tuple(w)
+    return coordinate
 
 
 def frobenius_of_closure(
@@ -515,17 +520,10 @@ def frobenius_of_closure(
     for md, basis in sorted(space.spaces.items()):
         if not basis.rank:
             continue
-        values = {}
-        for rho in types:
-            w = _perm_of_type(rho, n)
-            w_inv = _w_inverse(w)
-            tr = Fraction(0)
-            for pivot, row in basis.rows():
-                pre, sign = apply_perm(pivot, w_inv)
-                tr += sign * row.get(pre, Fraction(0))
-            if tr.denominator != 1:
-                raise RuntimeError(f"non-integer trace {tr} at multidegree {md}")
-            values[rho] = tr
+        values = {
+            rho: Fraction(stable_trace(basis, subscript_coordinate(perm_of_type(rho, n))))
+            for rho in types
+        }
         out[md] = schur_decompose(ClassFunction(n, values))
     return out
 

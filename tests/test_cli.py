@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from spanrep.cache import cache_get, cache_key, cache_put
 from spanrep.cli import main
@@ -56,6 +59,33 @@ def test_frobenius_oracle_guard(capsys):
     code, _, err = run_cli(capsys, "frobenius", "8", "2", "--source", "oracle")
     assert code == 4
     assert "scale guard" in err
+
+
+def test_frobenius_oracle_guard_by_piece_size(capsys):
+    # n = 7 passes the n guard, but A_21 of Q[x]/<x_i^7> has 60,691
+    # monomials; the refusal is predicted by counting, before any work
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "frobenius", "7", "7", "--source", "oracle")
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert "scale guard" in err and "60691" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "1,2", "3", "--fixed-k", "2", "--n-max", "10"],
+        ["stability", "1", "3", "--fixed-k", "2", "--n-max", "0"],
+        ["explore", "--problem", "grassmann", "--d", "2", "--n", "1", "--k", "5"],
+    ],
+)
+def test_invalid_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # explore's default fixtures directory is relative
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -3,11 +3,14 @@ from math import comb, factorial
 
 import pytest
 
+import reference
 from spanrep.combinat import GradedPoly, Partition, partitions_of, syt_count, unpad
 from spanrep.errors import ScaleGuardError
 from spanrep.formula import grfrob_tableaux
 from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
+    _check_commuting,
+    _count_fixed_monomials,
     character_on_quotient,
     complete_sym,
     decompose_coinvariants,
@@ -111,6 +114,23 @@ def test_ideal_is_stable_under_generators():
                         assert basis.contains(image), (n, k, d)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_truncated_oracle_matches_full_ring_reference(n):
+    # the oracle works in Q[x]/<x_i^k> and builds each ideal piece from the
+    # one below; the reference spans generator x monomial products in Q[x]
+    for k in range(1, n + 1):
+        d = 0
+        while True:
+            ref_dim, _ = reference.quotient_basis(n, k, d)
+            assert quotient_basis(n, k, d)[0] == ref_dim, (n, k, d)
+            for rho in partitions_of(n):
+                want = reference.character_on_quotient(n, k, d, rho)
+                assert character_on_quotient(n, k, d, rho) == want, (n, k, d, rho)
+            if ref_dim == 0 and d >= n:
+                break
+            d += 1
+
+
 def test_decompose_2_2():
     dec = decompose_coinvariants(2, 2)
     assert dec.by_degree == {0: exp_of(2, ((2,), 1)), 1: exp_of(2, ((1, 1), 1))}
@@ -156,6 +176,31 @@ def test_oracle_scale_guard():
         quotient_basis(8, 2, 1)
     with pytest.raises(ScaleGuardError):
         decompose_coinvariants(8, 2)
+
+
+def test_piece_sizes_are_counted_exactly():
+    # the guard and the quotient dimensions use a counting DP for |A_d|
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for d in range(n * k):
+                want = sum(1 for m in monomials_of_degree(n, d) if max(m, default=0) < k)
+                assert _count_fixed_monomials((1,) * n, k, d) == want, (n, k, d)
+
+
+def test_oracle_piece_budget():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            _check_commuting(n, k, None)  # every n <= 6 is admitted, (6,6) included
+    _check_commuting(7, 5, None)
+    with pytest.raises(ScaleGuardError):
+        _check_commuting(7, 6, None)
+    with pytest.raises(ScaleGuardError):
+        decompose_coinvariants(7, 7)
+    # a truncated request is judged by the pieces it spans
+    low = decompose_coinvariants(7, 7, max_degree=2)
+    assert low.truncated
+    formula = grfrob_tableaux(7, 7).by_degree
+    assert all(low.by_degree[d] == formula[d] for d in range(3))
 
 
 # -- free superspace pieces ---------------------------------------------------
