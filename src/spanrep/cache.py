@@ -2,7 +2,8 @@
 
 Entries are envelopes keyed by a hash of (command, parameters, schema
 version); files are written atomically (temp file in the same directory,
-then rename).  A corrupt entry is reported, never trusted.
+then rename).  A corrupt entry is reported, never trusted: that includes
+an entry whose own command and parameters do not hash to its key.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .serialize import SCHEMA_VERSION, envelope_bytes, envelope_from_bytes
 
-__all__ = ["cache_get", "cache_key", "cache_put"]
+__all__ = ["cache_get", "cache_key", "cache_put", "write_atomic"]
 
 ENV_CACHE_DIR = "SPANREP_CACHE_DIR"
 
@@ -33,10 +34,10 @@ def _entry_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"{key}.json"
 
 
-def cache_put(cache_dir: str | Path, key: str, envelope: dict) -> Path:
-    path = _entry_path(cache_dir, key)
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write data to path through a temp file in the same directory and a
+    rename, so readers see the old file or the new one, never a part."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = envelope_bytes(envelope)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -46,6 +47,11 @@ def cache_put(cache_dir: str | Path, key: str, envelope: dict) -> Path:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def cache_put(cache_dir: str | Path, key: str, envelope: dict) -> Path:
+    path = _entry_path(cache_dir, key)
+    write_atomic(path, envelope_bytes(envelope))
     return path
 
 
@@ -56,6 +62,10 @@ def cache_get(cache_dir: str | Path, key: str) -> tuple[str, dict | None]:
     if not path.exists():
         return "miss", None
     try:
-        return "hit", envelope_from_bytes(path.read_bytes())
-    except (ValueError, json.JSONDecodeError, OSError):
+        envelope = envelope_from_bytes(path.read_bytes())
+        # an entry answers the request its own command and parameters name
+        if cache_key(envelope["command"], envelope["parameters"]) != key:
+            return "corrupt", None
+    except (ValueError, TypeError, OSError):
         return "corrupt", None
+    return "hit", envelope

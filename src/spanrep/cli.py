@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cache import ENV_CACHE_DIR, cache_get, cache_key, cache_put
+from .cache import ENV_CACHE_DIR, cache_get, cache_key, cache_put, write_atomic
 from .combinat import GradedPoly, Partition
 from .errors import ScaleGuardError
 from .formula import FixedCodim, FixedK, grfrob_tableaux
@@ -112,6 +112,19 @@ def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> d
     }
 
 
+def _printable_frobenius(payload) -> bool:
+    """Whether a cached payload has every field cmd_frobenius prints."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("diff"), list):
+        return False
+    sources = payload.get("sources")
+    fields = {"degree", "shape", "coeff"}
+    return isinstance(sources, dict) and all(
+        isinstance(rows, list)
+        and all(isinstance(row, dict) and fields <= row.keys() for row in rows)
+        for rows in sources.values()
+    )
+
+
 def cmd_frobenius(args) -> int:
     n, k = args.n, args.k
     if not 1 <= k <= n:
@@ -122,6 +135,8 @@ def cmd_frobenius(args) -> int:
     envelope = None
     if cache_dir is not None:
         status, cached = cache_get(cache_dir, key)
+        if status == "hit" and not _printable_frobenius(cached["payload"]):
+            status = "corrupt"
         if status == "corrupt":
             print("warning: corrupt cache entry, recomputing", file=sys.stderr)
         elif status == "hit":
@@ -360,11 +375,9 @@ def cmd_explore(args) -> int:
         payload = _explore_grassmann(args.d, args.n, args.k)
         params = {"problem": "grassmann", "d": args.d, "n": args.n, "k": args.k}
     envelope = make_envelope("explore", params, payload, "experiment", __version__)
-    fixtures = Path(args.fixtures_dir)
-    fixtures.mkdir(parents=True, exist_ok=True)
     name = "-".join(f"{key}{value}" for key, value in sorted(params.items()))
-    path = fixtures / f"{name}.json"
-    path.write_bytes(envelope_bytes(envelope))
+    path = Path(args.fixtures_dir) / f"{name}.json"
+    write_atomic(path, envelope_bytes(envelope))
     _emit_json(envelope)
     print(f"fixture written to {path}", file=sys.stderr)
     return EXIT_OK

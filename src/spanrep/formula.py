@@ -6,10 +6,10 @@ The formula sums q^maj(T) * qbinom(n - des(T) - 1, n - k) * s_shape(T)
 over all standard tableaux with n boxes; tableaux with too many descents
 are killed by the vanishing q-binomial.
 
-`shape_multiplicity` recomputes single coefficients by brute-force
-enumeration of (tableau, bounded partition) pairs, which is the
-stabilization mechanism: once n is large enough the bounding rectangle
-stops mattering and the count freezes.
+`shape_multiplicity` recomputes single coefficients by counting
+(tableau, bounded partition) pairs, which is the stabilization
+mechanism: once n is large enough the bounding rectangle stops
+mattering and the count freezes.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .combinat import (
     GradedPoly,
     Partition,
+    count_partitions_bounded,
     des,
     maj,
     pad,
@@ -102,11 +103,12 @@ def grfrob_tableaux(n: int, k: int) -> GradedFrobenius:
 
 
 def shape_multiplicity(lam: Partition, k: int, s: int) -> int:
-    """Multiplicity of the shape in half-degree s, by brute-force pairs.
+    """Multiplicity of the shape in half-degree s, by counting pairs.
 
     Counts pairs (T, nu) with T a standard tableau of shape lam, nu a
     partition inside the (k - des(T) - 1) x (n - k) rectangle, and
-    maj(T) + |nu| = s.  Enumerated directly -- this is deliberately
+    maj(T) + |nu| = s.  Tableaux are enumerated and the partitions of
+    each are counted by a recursion on parts -- this is deliberately
     independent of the q-binomial route in `grfrob_tableaux`.
     """
     n = lam.size
@@ -117,15 +119,7 @@ def shape_multiplicity(lam: Partition, k: int, s: int) -> int:
         rows_avail = k - des(t) - 1
         if rows_avail < 0:
             continue
-        rem = s - maj(t)
-        if rem < 0:
-            continue
-        if rem == 0:
-            total += 1  # the empty partition fits in any rectangle
-            continue
-        total += sum(
-            1 for nu in partitions_of(rem) if nu.fits_in_box(rows_avail, n - k)
-        )
+        total += count_partitions_bounded(s - maj(t), rows_avail, n - k)
     return total
 
 

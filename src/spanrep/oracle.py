@@ -6,10 +6,12 @@ monomials with every exponent below k.  The ideal piece of degree d is
 spanned degree by degree, as the x_j-multiples of the degree-(d-1) piece
 plus the generators of degree d, and row-reduced exactly with integer
 rows -- no Groebner machinery, and nothing from the tableau formula.
-Traces of permutations on quotients are (fixed monomials) minus the trace
-on the ideal subspace, the latter read off pivot coordinates of the
-reduced echelon basis (valid because the ideals are stable under the
-subscript action; tests exercise that stability directly).
+The superspace coinvariant ideal is spanned the same way, each piece from
+its invariants and the degree-one generators times the piece below.
+Traces of permutations on quotients are (signed fixed monomials) minus
+the trace on the ideal subspace, the latter read off pivot coordinates
+of the reduced echelon basis (valid because the ideals are stable under
+the subscript action; tests exercise that stability directly).
 
 Scale guards: the commuting oracle refuses n > 7 and any request whose
 largest piece A_d has more than COMMUTING_MAX_PIECE monomials (counted
@@ -24,11 +26,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .combinat import GradedPoly, Partition, partitions_of, perm_of_type
+from .combinat import GradedPoly, Partition, perm_of_type
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, stable_trace
 from .superspace import SuperMonomial, apply_perm, mono_mul, subscript_coordinate
-from .symfun import ClassFunction, SchurExpansion, dimension, schur_decompose
+from .symfun import SchurExpansion, dimension, schur_from_traces
 
 __all__ = [
     "GradedDecomposition",
@@ -257,7 +259,6 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
     only low degrees are needed.
     """
     _check_commuting(n, k, max_degree)
-    types = partitions_of(n)
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
     d = 0
@@ -265,10 +266,7 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
     while True:
         dim, _ = quotient_basis(n, k, d)
         if dim:
-            chi = ClassFunction(
-                n, {rho: Fraction(character_on_quotient(n, k, d, rho)) for rho in types}
-            )
-            exp = schur_decompose(chi)
+            exp = schur_from_traces(n, lambda rho: character_on_quotient(n, k, d, rho))
             if int(dimension(exp).evaluate()) != dim:
                 raise RuntimeError(f"decomposition dimension mismatch at degree {d}")
             by_degree[d] = exp
@@ -319,11 +317,7 @@ def decompose_superspace(
     if len(alpha) != m or len(beta) != p:
         raise ValueError("multidegree arity must match the batch counts")
     basis = _multidegree_basis(n, alpha, beta)
-    values = {
-        rho: Fraction(_signed_fixed_trace(basis, perm_of_type(rho, n)))
-        for rho in partitions_of(n)
-    }
-    return schur_decompose(ClassFunction(n, values))
+    return schur_from_traces(n, lambda rho: _signed_fixed_trace(basis, perm_of_type(rho, n)))
 
 
 @cache
@@ -355,8 +349,33 @@ def _mono_times_vector(mono: SuperMonomial, vec: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _componentwise_below(bound: tuple[int, ...]):
-    return product(*(range(b + 1) for b in bound))
+@cache
+def _super_ideal_basis(
+    n: int, alpha: tuple[int, ...], beta: tuple[int, ...]
+) -> EchelonBasis:
+    """Multidegree (alpha, beta) piece of the ideal generated by the
+    positive-multidegree diagonal invariants: its invariants plus each
+    degree-one generator g (an x_j or theta_j of one batch) times the piece
+    one step below in g's batch.  Every positive-degree monomial is such a
+    g times a monomial one step lower, so these products span the rest."""
+    basis = EchelonBasis()
+    md, m = alpha + beta, len(alpha)
+    if not any(md):
+        return basis  # the ideal has no constants
+    for _, row in _invariant_basis(n, alpha, beta).primitive_rows():
+        basis.insert(row)
+    for i, e in enumerate(md):
+        if not e:
+            continue
+        step = tuple(int(j == i) for j in range(len(md)))
+        lower = tuple(a - b for a, b in zip(md, step))
+        rows = _super_ideal_basis(n, lower[:m], lower[m:]).primitive_rows()
+        for g in _multidegree_basis(n, step[:m], step[m:]):
+            for _, row in rows:
+                vec = _mono_times_vector(g, row)
+                if vec:
+                    basis.insert(vec)
+    return basis
 
 
 def decompose_super_coinvariants(
@@ -365,9 +384,9 @@ def decompose_super_coinvariants(
     """Schur decomposition of one multidegree piece of the quotient by the
     ideal of positive-multidegree diagonal invariants.
 
-    The invariant subspaces feeding the ideal are computed multidegree by
-    multidegree with exact symmetrization; the ideal piece is spanned by
-    monomial-times-invariant products and row-reduced.
+    The invariants of each multidegree come from exact symmetrization, and
+    the ideal piece is built from the pieces one step below it
+    (:func:`_super_ideal_basis`).
     """
     _guard(
         n <= SUPER_QUOTIENT_MAX_N,
@@ -376,27 +395,13 @@ def decompose_super_coinvariants(
     if len(alpha) != m or len(beta) != p:
         raise ValueError("multidegree arity must match the batch counts")
     basis = _multidegree_basis(n, alpha, beta)
-    ideal = EchelonBasis()
-    for gamma in _componentwise_below(alpha):
-        for delta in _componentwise_below(beta):
-            if not any(gamma) and not any(delta):
-                continue
-            inv = _invariant_basis(n, gamma, delta)
-            if not inv.rank:
-                continue
-            cof_alpha = tuple(a - g for a, g in zip(alpha, gamma))
-            cof_beta = tuple(b - d for b, d in zip(beta, delta))
-            for cof in _multidegree_basis(n, cof_alpha, cof_beta):
-                for _, row in inv.primitive_rows():
-                    vec = _mono_times_vector(cof, row)
-                    if vec:
-                        ideal.insert(vec)
-    values = {}
-    for rho in partitions_of(n):
+    ideal = _super_ideal_basis(n, alpha, beta)
+
+    def trace(rho):
         w = perm_of_type(rho, n)
-        ideal_trace = stable_trace(ideal, subscript_coordinate(w))
-        values[rho] = Fraction(_signed_fixed_trace(basis, w) - ideal_trace)
-    return schur_decompose(ClassFunction(n, values))
+        return _signed_fixed_trace(basis, w) - stable_trace(ideal, subscript_coordinate(w))
+
+    return schur_from_traces(n, trace)
 
 
 # -- Grassmann presentation --------------------------------------------
@@ -447,7 +452,6 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
                 w[i * d + t] = i * d + g[t]
         group.append(tuple(w))
 
-    types = partitions_of(n)
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
     ideal = None
@@ -474,21 +478,20 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
                 if acc:
                     invariants.insert(acc)
             if invariants.rank:
-                values = {}
-                for rho in types:
+                def trace(rho):
                     sigma = perm_of_type(rho, n)
                     # batch permutation: variable (i, t) -> (sigma(i), t)
                     varperm = tuple(
                         sigma[i] * d + t for i in range(n) for t in range(d)
                     )
 
-                    def coordinate(pivot, row, varperm=varperm):
+                    def coordinate(pivot, row):
                         image = {_apply_varperm(mono, varperm): c for mono, c in row.items()}
                         return ideal.reduce(image).get(pivot, 0)
 
-                    values[rho] = Fraction(stable_trace(invariants, coordinate))
-                exp = schur_decompose(ClassFunction(n, values))
-                by_degree[deg] = exp
+                    return stable_trace(invariants, coordinate)
+
+                by_degree[deg] = schur_from_traces(n, trace)
                 dims[deg] = invariants.rank
         if not standard and deg >= nvars:  # e_{d*n} is the top generator degree
             break

@@ -24,10 +24,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .combinat import GradedPoly, partitions_of, perm_inverse, perm_of_type
+from .combinat import GradedPoly, perm_inverse, perm_of_type
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, stable_trace
-from .symfun import ClassFunction, SchurExpansion, schur_decompose
+from .symfun import SchurExpansion, schur_from_traces
 
 __all__ = [
     "ClosureSpace",
@@ -283,16 +283,11 @@ def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> Sup
         exps[i] = k - 1
     for j in range(k):
         exps[r + j] = k - 1 - j
+    seed = SuperMonomial((tuple(exps),), (tuple(range(r)),))
     terms: dict[SuperMonomial, Fraction] = {}
     for w in permutations(range(n)):
-        full = tuple(w) + tuple(range(n, amb))
-        new_x = [0] * amb
-        for i, e in enumerate(exps):
-            new_x[full[i]] = e
-        thetas, tsign = theta_canonical(tuple(full[i] for i in range(r)))
-        mono = SuperMonomial((tuple(new_x),), (thetas,))
-        coeff = _perm_sign(tuple(w)) * tsign
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        mono, tsign = apply_perm(seed, w + tuple(range(n, amb)))
+        terms[mono] = terms.get(mono, Fraction(0)) + _perm_sign(w) * tsign
     return SuperPoly(amb, 1, 1, terms)
 
 
@@ -427,7 +422,7 @@ def _closure_operators(n: int, m: int, p: int):
     return ops
 
 
-def harmonic_closure(n: int, m: int, p: int, k: int, *, max_polarization_power: int | None = None) -> ClosureSpace:
+def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
     """Smallest subspace containing the Vandermonde seed and closed under
     all partial derivatives and polarization operators.
 
@@ -460,7 +455,7 @@ def harmonic_closure(n: int, m: int, p: int, k: int, *, max_polarization_power: 
         seed = SuperPoly(n, m, p, terms)
 
     ops = _closure_operators(n, m, p)
-    max_j = max_polarization_power or max(k - 1, 1)
+    max_j = max(k - 1, 1)
     for src in range(m):
         for dst in range(m):
             if src != dst:
@@ -515,16 +510,13 @@ def frobenius_of_closure(
     closed under conjugation by permutations).
     """
     space = closure if closure is not None else harmonic_closure(n, m, p, k)
-    types = partitions_of(n)
     out: dict[Multidegree, SchurExpansion] = {}
     for md, basis in sorted(space.spaces.items()):
         if not basis.rank:
             continue
-        values = {
-            rho: Fraction(stable_trace(basis, subscript_coordinate(perm_of_type(rho, n))))
-            for rho in types
-        }
-        out[md] = schur_decompose(ClassFunction(n, values))
+        out[md] = schur_from_traces(
+            n, lambda rho: stable_trace(basis, subscript_coordinate(perm_of_type(rho, n)))
+        )
     return out
 
 

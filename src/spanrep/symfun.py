@@ -28,6 +28,7 @@ __all__ = [
     "omega",
     "q_reverse",
     "schur_decompose",
+    "schur_from_traces",
 ]
 
 
@@ -166,6 +167,11 @@ def schur_decompose(chi: ClassFunction) -> SchurExpansion:
         if acc:
             coeffs[lam] = GradedPoly.const(int(acc))
     return SchurExpansion(n, coeffs)
+
+
+def schur_from_traces(n: int, trace) -> SchurExpansion:
+    """Schur decomposition of the S_n character whose value at cycle type rho is trace(rho)."""
+    return schur_decompose(ClassFunction(n, {rho: trace(rho) for rho in partitions_of(n)}))
 
 
 def expansion_character(expansion: SchurExpansion) -> ClassFunction:

@@ -6,18 +6,31 @@
   oracle over the full polynomial ring Q[x], with x_i^k among the ideal
   generators and each degree-d ideal piece spanned by every generator
   times every monomial of the complementary degree.
+- :func:`super_ideal_basis`: a multidegree piece of the superspace
+  coinvariant ideal spanned from scratch, as every cofactor monomial times
+  every invariant of the complementary multidegree.
 
-Neither shares code with the library beyond monomial enumeration, the
-symmetric polynomials and cycle-type representatives.
+The first two share no code with the library beyond monomial enumeration,
+the symmetric polynomials and cycle-type representatives.  The third
+shares the library's echelon basis, invariants and monomial products; it
+differs in how the ideal piece is spanned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from spanrep.combinat import Partition, perm_of_type
-from spanrep.oracle import elementary_sym, monomials_of_degree
+from spanrep.linalg import EchelonBasis
+from spanrep.oracle import (
+    _invariant_basis,
+    _mono_times_vector,
+    _multidegree_basis,
+    elementary_sym,
+    monomials_of_degree,
+)
 
 _ZERO = Fraction(0)
 
@@ -117,3 +130,22 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     ideal_trace = pivot_trace(basis, lambda pivot: tuple(pivot[w[j]] for j in range(n)))
     assert ideal_trace.denominator == 1
     return fixed - int(ideal_trace)
+
+
+def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
+    """Multidegree (alpha, beta) piece of the ideal generated by the
+    positive-multidegree diagonal invariants: cofactor monomial times
+    invariant, over every componentwise-smaller invariant multidegree."""
+    ideal = EchelonBasis()
+    for gamma in product(*(range(a + 1) for a in alpha)):
+        for delta in product(*(range(b + 1) for b in beta)):
+            if not any(gamma) and not any(delta):
+                continue
+            cof_alpha = tuple(a - g for a, g in zip(alpha, gamma))
+            cof_beta = tuple(b - d for b, d in zip(beta, delta))
+            for cof in _multidegree_basis(n, cof_alpha, cof_beta):
+                for _, row in _invariant_basis(n, gamma, delta).primitive_rows():
+                    vec = _mono_times_vector(cof, row)
+                    if vec:
+                        ideal.insert(vec)
+    return ideal

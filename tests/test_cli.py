@@ -112,6 +112,12 @@ def test_cache_miss_and_corrupt(tmp_path):
     assert cache_get(tmp_path, key) == ("corrupt", None)
 
 
+def test_cache_entry_that_is_not_an_object_is_corrupt(tmp_path):
+    key = cache_key("frobenius", {"n": 1})
+    (tmp_path / f"{key}.json").write_text("5")
+    assert cache_get(tmp_path, key) == ("corrupt", None)
+
+
 def test_frobenius_cold_cache_then_hit(capsys, tmp_path):
     code, out1, _ = run_cli(capsys, "frobenius", "3", "2", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -134,6 +140,29 @@ def test_verify_cache_detects_tampering(capsys, tmp_path):
     assert code == 0
     assert "does not match" in err
     assert json_out(out)["payload"]["sources"]["formula"] != []
+
+
+def test_cache_entry_for_other_parameters_is_corrupt(capsys, tmp_path):
+    run_cli(capsys, "frobenius", "4", "2", "--cache-dir", str(tmp_path))
+    entry = next(tmp_path.glob("*.json"))
+    params = {"n": 3, "k": 2, "source": "formula", "max_degree": None}
+    entry.rename(tmp_path / f"{cache_key('frobenius', params)}.json")
+    code, out, err = run_cli(capsys, "frobenius", "3", "2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "corrupt" in err
+    assert json_out(out)["payload"]["n"] == 3
+
+
+def test_cache_entry_without_printed_fields_is_corrupt(capsys, tmp_path):
+    run_cli(capsys, "frobenius", "3", "2", "--cache-dir", str(tmp_path))
+    entry = next(tmp_path.glob("*.json"))
+    env = json.loads(entry.read_bytes())
+    del env["payload"]["diff"]
+    entry.write_bytes(envelope_bytes(env))
+    code, out, err = run_cli(capsys, "frobenius", "3", "2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert "corrupt" in err and "Traceback" not in err
+    assert json_out(out)["payload"]["diff"] == []
 
 
 def test_verify_cache_accepts_good_entry(capsys, tmp_path):
@@ -246,6 +275,16 @@ def test_explore_zabrocki_t0(capsys, tmp_path):
     }
     assert quotient_mds == {(0, 0), (1, 0), (0, 1)}
     assert {e["theta_degree"] for e in payload["closure_slices"]} == {0, 1}
+
+
+def test_explore_fixture_is_written_whole(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "explore", "--problem", "zabrocki-t0", "--n", "2",
+        "--fixtures-dir", str(tmp_path),
+    )
+    assert code == 0
+    (fixture,) = tmp_path.iterdir()  # the only file: no temp file left behind
+    assert fixture.read_bytes() == envelope_bytes(json_out(out))
 
 
 def test_explore_grassmann(capsys, tmp_path):

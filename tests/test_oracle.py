@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -11,6 +12,7 @@ from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
     _check_commuting,
     _count_fixed_monomials,
+    _super_ideal_basis,
     character_on_quotient,
     complete_sym,
     decompose_coinvariants,
@@ -278,6 +280,29 @@ def test_super_coinvariants_bigraded_fixture_n2():
         (1, 0): exp_of(2, ((1, 1), 1)),
         (0, 1): exp_of(2, ((1, 1), 1)),
     }
+
+
+def _assert_ideal_matches_reference(n, alpha, beta):
+    got = _super_ideal_basis(n, alpha, beta).primitive_rows()
+    assert got == reference.super_ideal_basis(n, alpha, beta).primitive_rows(), (n, alpha, beta)
+
+
+@pytest.mark.parametrize("m, p", [(1, 1), (2, 0), (0, 2), (2, 1)])
+def test_super_ideal_recursion_matches_cofactor_span(m, p):
+    # Total x-degree runs one past n(n-1)/2, the top x-degree of the quotient.
+    for n in range(1, 4):
+        top = n * (n - 1) // 2 + 1
+        for alpha in product(range(top + 1), repeat=m):
+            if sum(alpha) > top:
+                continue
+            for beta in product(range(n + 1), repeat=p):
+                _assert_ideal_matches_reference(n, alpha, beta)
+
+
+def test_super_ideal_recursion_matches_cofactor_span_n4():
+    for a in range(5):
+        for b in range(3):
+            _assert_ideal_matches_reference(4, (a,), (b,))
 
 
 def test_super_coinvariants_scale_guard():
