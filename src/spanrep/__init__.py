@@ -11,6 +11,7 @@ from .combinat import (
     StandardTableau,
     count_partitions_bounded,
     des,
+    des_maj_counts,
     maj,
     pad,
     partitions_of,

@@ -5,6 +5,11 @@ bookkeeping lives in :class:`GradedPoly`, a polynomial in the grading
 variables q, t, z.  Everything is pure and deterministic, and enumeration
 orders are pinned (partitions lexicographically decreasing, tableaux by
 earliest-row placement) so serialized output stays stable.
+
+Memo tables (they only grow): `_partition_tuples`, `_syt_rows` (every
+enumerated tableau), `_des_maj_by_last_row` (the (des, maj) counts behind
+`des_maj_counts`, keyed by shape, row of the largest entry and maj cap),
+`_qbin` and `_cpb`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ __all__ = [
     "StandardTableau",
     "count_partitions_bounded",
     "des",
+    "des_maj_counts",
     "maj",
     "pad",
     "partitions_of",
@@ -343,6 +349,64 @@ def _syt_rows(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]
 def syt_enumerate(shape: Partition) -> list[StandardTableau]:
     """All standard tableaux of the shape, in earliest-row placement order."""
     return [StandardTableau(rows) for rows in _syt_rows(shape.parts)]
+
+
+def _corner_rows(shape: tuple[int, ...]) -> list[int]:
+    """Rows whose last box can be removed, leaving a partition shape."""
+    last = len(shape) - 1
+    return [r for r, part in enumerate(shape) if r == last or part > shape[r + 1]]
+
+
+@cache
+def _des_maj_by_last_row(shape: tuple[int, ...], row: int, cap: int) -> dict[tuple[int, int], int]:
+    """(des, maj) counts, maj <= cap, of the tableaux of the shape whose
+    largest entry n ends the given row (a corner).  Callers must not mutate
+    the result.
+
+    Removing n leaves a tableau of the smaller shape with n - 1 ending some
+    corner row r.  n - 1 is a descent exactly when r is above the row of n,
+    and it then adds n - 1 to maj; no other descent changes.  So the cap
+    only falls on the way down, and pruning a state above it is exact.
+    """
+    n = sum(shape)
+    if n == 1:
+        return {(0, 0): 1}
+    smaller = shape[:row] + (shape[row] - 1,) + shape[row + 1:]
+    if not smaller[-1]:
+        smaller = smaller[:-1]
+    out: dict[tuple[int, int], int] = {}
+    for r in _corner_rows(smaller):
+        if r < row:
+            if cap < n - 1:
+                continue
+            for (d, m), c in _des_maj_by_last_row(smaller, r, cap - (n - 1)).items():
+                out[d + 1, m + n - 1] = out.get((d + 1, m + n - 1), 0) + c
+        else:
+            for dm, c in _des_maj_by_last_row(smaller, r, cap).items():
+                out[dm] = out.get(dm, 0) + c
+    return out
+
+
+def des_maj_counts(shape: Partition, max_maj: int | None = None) -> dict[tuple[int, int], int]:
+    """Number of standard tableaux of the shape with each (des, maj).
+
+    Only classes with maj <= max_maj are kept (all of them when max_maj is
+    None).  Computed by a memoized recursion over (shape, row of the
+    largest entry) that never builds a tableau; the keys are in ascending
+    (des, maj) order.
+    """
+    n = shape.size
+    top = n * (n - 1) // 2  # maj never exceeds 1 + 2 + ... + (n - 1)
+    cap = top if max_maj is None else min(max_maj, top)
+    if cap < 0:
+        return {}
+    if n == 0:
+        return {(0, 0): 1}
+    out: dict[tuple[int, int], int] = {}
+    for r in _corner_rows(shape.parts):
+        for dm, c in _des_maj_by_last_row(shape.parts, r, cap).items():
+            out[dm] = out.get(dm, 0) + c
+    return dict(sorted(out.items()))
 
 
 def syt_count(shape: Partition) -> int:

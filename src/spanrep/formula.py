@@ -9,7 +9,9 @@ are killed by the vanishing q-binomial.
 `shape_multiplicity` recomputes single coefficients by counting
 (tableau, bounded partition) pairs, which is the stabilization
 mechanism: once n is large enough the bounding rectangle stops
-mattering and the count freezes.
+mattering and the count freezes.  It reads the tableaux only through
+their (des, maj) counts (`combinat.des_maj_counts`), so no tableau is
+built; `grfrob_tableaux` enumerates them, as the formula is written.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .combinat import (
     Partition,
     count_partitions_bounded,
     des,
+    des_maj_counts,
     maj,
     pad,
     partitions_of,
@@ -107,19 +110,19 @@ def shape_multiplicity(lam: Partition, k: int, s: int) -> int:
 
     Counts pairs (T, nu) with T a standard tableau of shape lam, nu a
     partition inside the (k - des(T) - 1) x (n - k) rectangle, and
-    maj(T) + |nu| = s.  Tableaux are enumerated and the partitions of
-    each are counted by a recursion on parts -- this is deliberately
-    independent of the q-binomial route in `grfrob_tableaux`.
+    maj(T) + |nu| = s.  The tableaux enter only through the number with
+    each (des, maj), maj <= s, and the partitions of each class are
+    counted by a recursion on parts -- this is deliberately independent
+    of the q-binomial route in `grfrob_tableaux`.
     """
     n = lam.size
     if k < 1 or k > n or s < 0:
         return 0
     total = 0
-    for t in syt_enumerate(lam):
-        rows_avail = k - des(t) - 1
-        if rows_avail < 0:
-            continue
-        total += count_partitions_bounded(s - maj(t), rows_avail, n - k)
+    for (d, m), count in des_maj_counts(lam, s).items():
+        rows_avail = k - d - 1
+        if rows_avail >= 0:
+            total += count * count_partitions_bounded(s - m, rows_avail, n - k)
     return total
 
 

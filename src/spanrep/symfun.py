@@ -1,13 +1,15 @@
 """Schur-basis bookkeeping and symmetric-group character theory.
 
 Irreducible characters come from the Murnaghan-Nakayama recursion,
-memoized on (shape, cycle type).  Inner products use exact rationals and
-any non-integrality or negativity while decomposing is raised as
-:class:`NotACharacterError` instead of being rounded: a failed
-decomposition means whoever produced the traces has a bug.
+memoized on (shape, cycle type).  Inner products are exact: integer sums
+against a per-n table of character values times class sizes, divided
+once at the end, and any non-integrality or negativity while decomposing
+is raised as :class:`NotACharacterError` instead of being rounded: a
+failed decomposition means whoever produced the traces has a bug.
 
-Everything is pure; the memo tables are only ever extended, never
-invalidated, so concurrent readers see consistent values.
+Everything is pure; the memo tables (`_mn` and the per-n
+`_weighted_characters`) are only ever extended, never invalidated, so
+concurrent readers see consistent values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import factorial, lcm
+from operator import mul
 
 from .combinat import GradedPoly, Partition, partitions_of, syt_count, z_lambda
 from .errors import NotACharacterError
@@ -149,23 +153,44 @@ class SchurExpansion:
         return f"SchurExpansion(n={self.n}, {{{body}}})"
 
 
+@cache
+def _weighted_characters(n: int):
+    """The cycle types of S_n and, for each shape lam, the integers
+    chi^lam(rho) * n!/z_rho over those cycle types, in the same order."""
+    types = tuple(partitions_of(n))
+    sizes = [factorial(n) // z_lambda(rho) for rho in types]
+    table = tuple(
+        (lam, tuple(_mn(lam.parts, rho.parts) * size for rho, size in zip(types, sizes)))
+        for lam in types
+    )
+    return types, table
+
+
 def schur_decompose(chi: ClassFunction) -> SchurExpansion:
     """Decompose a genuine character into Schur multiplicities.
 
-    Multiplicities are computed by the standard inner product with exact
-    rationals; any non-integer or negative result raises
-    NotACharacterError.
+    The multiplicity of lam is the inner product sum_rho chi(rho)
+    chi^lam(rho) / z_rho.  It is computed in integers: the values are
+    scaled once by the lcm of their denominators, and each shape's sum
+    is divided by that lcm times n! at the end.  Any non-integer or
+    negative result raises NotACharacterError.
     """
     n = chi.n
+    types, table = _weighted_characters(n)
+    values = [chi.value(rho) for rho in types]
+    den = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    scale = den * factorial(n)
     coeffs: dict[Partition, GradedPoly] = {}
-    for lam in partitions_of(n):
-        acc = Fraction(0)
-        for rho in partitions_of(n):
-            acc += Fraction(chi.value(rho) * irr_character(lam, rho), z_lambda(rho))
-        if acc.denominator != 1 or acc < 0:
-            raise NotACharacterError(f"multiplicity of {lam.parts} came out {acc}")
-        if acc:
-            coeffs[lam] = GradedPoly.const(int(acc))
+    for lam, weights in table:
+        total = sum(map(mul, weights, scaled))
+        mult, rest = divmod(total, scale)
+        if rest or mult < 0:
+            raise NotACharacterError(
+                f"multiplicity of {lam.parts} came out {Fraction(total, scale)}"
+            )
+        if mult:
+            coeffs[lam] = GradedPoly.const(mult)
     return SchurExpansion(n, coeffs)
 
 

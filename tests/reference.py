@@ -9,11 +9,17 @@
 - :func:`super_ideal_basis`: a multidegree piece of the superspace
   coinvariant ideal spanned from scratch, as every cofactor monomial times
   every invariant of the complementary multidegree.
+- :func:`shape_multiplicity`: the pair count with every standard tableau
+  of the shape enumerated and its des and maj read off one by one.
+- :func:`schur_decompose`: the character inner product summed term by
+  term in Fractions.
 
 The first two share no code with the library beyond monomial enumeration,
 the symmetric polynomials and cycle-type representatives.  The third
 shares the library's echelon basis, invariants and monomial products; it
-differs in how the ideal piece is spanned.
+differs in how the ideal piece is spanned.  The last two share the
+tableau enumeration, the partition counts and the characters, and differ
+in how they are combined.
 """
 
 from __future__ import annotations
@@ -22,7 +28,17 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from spanrep.combinat import Partition, perm_of_type
+from spanrep.combinat import (
+    Partition,
+    count_partitions_bounded,
+    des,
+    maj,
+    partitions_of,
+    perm_of_type,
+    syt_enumerate,
+    z_lambda,
+)
+from spanrep.errors import NotACharacterError
 from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
     _invariant_basis,
@@ -31,6 +47,7 @@ from spanrep.oracle import (
     elementary_sym,
     monomials_of_degree,
 )
+from spanrep.symfun import ClassFunction, SchurExpansion, irr_character
 
 _ZERO = Fraction(0)
 
@@ -149,3 +166,33 @@ def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
                     if vec:
                         ideal.insert(vec)
     return ideal
+
+
+def shape_multiplicity(lam: Partition, k: int, s: int) -> int:
+    """Pairs (T, nu): T a standard tableau of shape lam, nu inside the
+    (k - des(T) - 1) x (n - k) rectangle, maj(T) + |nu| = s."""
+    n = lam.size
+    if k < 1 or k > n or s < 0:
+        return 0
+    total = 0
+    for t in syt_enumerate(lam):
+        rows_avail = k - des(t) - 1
+        if rows_avail < 0:
+            continue
+        total += count_partitions_bounded(s - maj(t), rows_avail, n - k)
+    return total
+
+
+def schur_decompose(chi: ClassFunction) -> SchurExpansion:
+    """Multiplicity of each lam as sum_rho chi(rho) chi^lam(rho) / z_rho,
+    accumulated in Fractions; a non-integer or negative one raises."""
+    coeffs = {}
+    for lam in partitions_of(chi.n):
+        acc = Fraction(0)
+        for rho in partitions_of(chi.n):
+            acc += Fraction(chi.value(rho) * irr_character(lam, rho), z_lambda(rho))
+        if acc.denominator != 1 or acc < 0:
+            raise NotACharacterError(f"multiplicity of {lam.parts} came out {acc}")
+        if acc:
+            coeffs[lam] = int(acc)
+    return SchurExpansion(chi.n, coeffs)

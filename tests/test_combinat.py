@@ -1,4 +1,5 @@
 import pytest
+from collections import Counter
 from hypothesis import given, strategies as st
 from math import comb, factorial
 
@@ -8,6 +9,7 @@ from spanrep.combinat import (
     StandardTableau,
     count_partitions_bounded,
     des,
+    des_maj_counts,
     maj,
     pad,
     partitions_of,
@@ -141,6 +143,64 @@ def test_maj_lower_bound_on_padded_shapes():
             for n in range(mu.size + mu.first_part(), 9):
                 for t in syt_enumerate(pad(mu, n)):
                     assert maj(t) >= mu.size
+
+
+# -- (des, maj) counts ----------------------------------------------------
+
+
+def test_des_maj_counts_match_enumeration():
+    for n in range(10):
+        for lam in partitions_of(n):
+            full = Counter((des(t), maj(t)) for t in syt_enumerate(lam))
+            assert des_maj_counts(lam) == full, lam
+            for cap in range(9):
+                expected = {dm: c for dm, c in full.items() if dm[1] <= cap}
+                assert des_maj_counts(lam, cap) == expected, (lam, cap)
+
+
+def test_des_maj_counts_edge_cases():
+    assert des_maj_counts(Partition()) == {(0, 0): 1}
+    assert des_maj_counts(Partition((2, 1)), -1) == {}
+    assert des_maj_counts(Partition((1, 1, 1))) == {(2, 3): 1}
+    keys = list(des_maj_counts(Partition((3, 2, 1))))
+    assert keys == sorted(keys)
+
+
+def _q_int(m):
+    """[m]_q = 1 + q + ... + q^(m-1)."""
+    return GradedPoly({(e, 0, 0): 1 for e in range(m)})
+
+
+def test_maj_marginal_is_q_hook_length_formula():
+    # sum_T q^maj(T) = q^b(lam) [n]_q! / prod_u [h(u)]_q  (Stanley, EC2 Cor. 7.21.5),
+    # checked multiplied out: sum_T q^maj(T) * prod_u [h(u)]_q = q^b(lam) [n]_q!
+    for n in range(10):
+        q_factorial = GradedPoly.const(1)
+        for m in range(1, n + 1):
+            q_factorial = q_factorial * _q_int(m)
+        for lam in partitions_of(n):
+            marginal = GradedPoly.zero()
+            for (_, m), c in des_maj_counts(lam).items():
+                marginal = marginal + GradedPoly.term(c, q=m)
+            conj = lam.conjugate().parts
+            hooks = GradedPoly.const(1)
+            for i, row_len in enumerate(lam.parts):
+                for j in range(row_len):
+                    hooks = hooks * _q_int((row_len - j) + (conj[j] - i) - 1)
+            b = sum(i * part for i, part in enumerate(lam.parts))
+            assert marginal * hooks == GradedPoly.term(1, q=b) * q_factorial, lam
+
+
+def test_des_maj_counts_freeze_under_first_row_extension():
+    # count-level form of the box-adding bijection: for n > 2s, appending a
+    # box to the first row keeps every (des, maj) class with maj <= s
+    for s in range(8):
+        for size in range(s + 1):
+            for mu in partitions_of(size):
+                for n in range(2 * s + 1, 2 * s + 6):
+                    assert des_maj_counts(pad(mu, n), s) == des_maj_counts(pad(mu, n + 1), s), (
+                        mu, s, n,
+                    )
 
 
 # -- q-binomials ---------------------------------------------------------

@@ -1,7 +1,9 @@
 import pytest
 from math import factorial
 
+import reference
 from spanrep.combinat import GradedPoly, Partition, pad, partitions_of
+from spanrep.errors import PaddingError
 from spanrep.formula import (
     Elementary,
     FixedCodim,
@@ -99,7 +101,7 @@ def test_shape_multiplicity_degenerate_k():
 
 
 def test_shape_multiplicity_matches_grfrob_coefficients():
-    # the brute-force pair count agrees with the q-binomial route everywhere
+    # the pair count agrees with the q-binomial route everywhere
     for n in range(1, 7):
         for k in range(1, n + 1):
             g = grfrob_tableaux(n, k)
@@ -109,6 +111,35 @@ def test_shape_multiplicity_matches_grfrob_coefficients():
                 for lam in partitions_of(n):
                     expected = exp.coefficient(lam).coefficient() if exp else 0
                     assert shape_multiplicity(lam, k, s) == expected, (n, k, s, lam)
+
+
+# The sequences of the stability benchmark (perfbench/workloads.py):
+# (mu, s, k or m, n_max), with fixed k or with fixed codimension m.
+STABILITY_FIXED_K = [
+    ((), 4, 2, 12), ((), 6, 3, 16), ((1,), 5, 3, 14), ((1,), 7, 3, 18),
+    ((2,), 6, 4, 16), ((2, 1), 5, 3, 14), ((2, 2), 6, 2, 16), ((2, 2), 7, 3, 18),
+    ((3, 1), 6, 3, 16), ((2, 1, 1), 6, 3, 16), ((3, 2), 7, 3, 18),
+    ((), 1, 2, 7), ((), 2, 2, 7), ((1,), 2, 2, 7), ((1,), 3, 2, 7), ((), 3, 3, 7),
+    ((2,), 3, 3, 7), ((1, 1), 3, 2, 7),
+]
+STABILITY_FIXED_CODIM = [
+    ((2, 1), 4, 1, 14), ((1, 1), 5, 2, 17), ((3,), 5, 1, 16),
+    ((2, 1), 6, 2, 19), ((2, 2), 5, 1, 16), ((3, 1), 5, 1, 16),
+]
+
+
+def test_shape_multiplicity_matches_enumeration_on_stability_tables():
+    points = set()
+    for table, fixed_k in ((STABILITY_FIXED_K, True), (STABILITY_FIXED_CODIM, False)):
+        for mu, s, x, n_max in table:
+            for n in range(1, n_max + 1):
+                try:
+                    lam = pad(Partition(mu), n)
+                except PaddingError:
+                    continue
+                points.add((lam, x if fixed_k else n - x, s))
+    for lam, k, s in sorted(points, key=lambda p: (p[0].parts, p[1], p[2])):
+        assert shape_multiplicity(lam, k, s) == reference.shape_multiplicity(lam, k, s), (lam, k, s)
 
 
 # -- stable_multiplicity -----------------------------------------------------

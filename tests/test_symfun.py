@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from spanrep.combinat import GradedPoly, Partition, partitions_of, syt_count, z_lambda
 from spanrep.errors import NotACharacterError
 from spanrep.symfun import (
@@ -116,15 +117,57 @@ def test_decompose_rejects_non_characters():
         schur_decompose(ClassFunction(n, values))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 6), st.data())
-def test_decompose_inverts_character(n, data):
+def _random_character(n, data):
     mults = {
         lam: data.draw(st.integers(0, 4), label=f"m{lam.parts}")
         for lam in partitions_of(n)
     }
     exp = SchurExpansion(n, {lam: GradedPoly.const(m) for lam, m in mults.items() if m})
-    assert schur_decompose(expansion_character(exp)) == exp
+    return exp, expansion_character(exp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_decompose_inverts_character(n, data):
+    exp, chi = _random_character(n, data)
+    assert schur_decompose(chi) == reference.schur_decompose(chi) == exp
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_decompose_matches_reference_on_rational_class_functions(n, data):
+    # values with small denominators: both routes must agree on the
+    # multiplicities, or reject the class function at the same shape with
+    # the same offending value
+    values = {
+        rho: Fraction(data.draw(st.integers(-30, 30)), data.draw(st.integers(1, 6)))
+        for rho in partitions_of(n)
+    }
+    chi = ClassFunction(n, values)
+    try:
+        expected = reference.schur_decompose(chi)
+    except NotACharacterError as exc:
+        with pytest.raises(NotACharacterError) as raised:
+            schur_decompose(chi)
+        assert str(raised.value) == str(exc)
+    else:
+        assert schur_decompose(chi) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_decompose_rejects_halved_and_negated_characters(n, data):
+    _, chi = _random_character(n, data)
+    odd = data.draw(st.sampled_from(partitions_of(n)))
+    # 2 chi + chi^odd has an odd, positive multiplicity at odd
+    base = {rho: 2 * v + irr_character(odd, rho) for rho, v in chi.values.items()}
+    halved = ClassFunction(n, {rho: v / 2 for rho, v in base.items()})
+    negated = ClassFunction(n, {rho: -v for rho, v in base.items()})
+    for bad in (halved, negated):
+        with pytest.raises(NotACharacterError):
+            schur_decompose(bad)
+        with pytest.raises(NotACharacterError):
+            reference.schur_decompose(bad)
 
 
 # -- omega / q_reverse / dimension -----------------------------------------
