@@ -225,8 +225,6 @@ def cmd_superspace(args) -> int:
     n, k = args.n, args.k
     params = {"n": n, "k": k}
     if args.check_identity:
-        if not 0 <= k < n:
-            return _usage_error(f"identity check needs 0 <= k < n, got n={n}, k={k}")
         result = vandermonde_derivative_identity(n, k)
         payload = {
             "kind": "identity_check",
@@ -239,8 +237,6 @@ def cmd_superspace(args) -> int:
         _emit_json(make_envelope("superspace", params | {"mode": "check-identity"},
                                  payload, "superspace", __version__))
         return EXIT_OK if result.equal else EXIT_MISMATCH
-    if not 1 <= k <= n:
-        return _usage_error(f"need 1 <= k <= n, got n={n}, k={k}")
     closure = harmonic_closure(n, 1, 1, k)
     if args.closure:
         payload = {
@@ -369,6 +365,8 @@ def _explore_grassmann(d: int, n: int, k: int) -> dict:
 
 
 def cmd_explore(args) -> int:
+    if args.problem != "grassmann" and args.n < 1:
+        return _usage_error(f"need n >= 1, got --n {args.n}")
     if args.problem == "rw-twist":
         payload = _explore_rw_twist(args.n)
         params = {"problem": "rw-twist", "n": args.n}

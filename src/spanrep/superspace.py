@@ -12,6 +12,12 @@ sorting permutation.  Within a batch theta_i theta_j = -theta_j theta_i;
 generators of distinct anticommuting batches commute (plain tensor
 product), which never affects dimensions or symmetric-group characters.
 
+Coefficients are exact: integers stay ``int`` throughout, and only a
+non-integer coefficient a caller passes in becomes a ``Fraction``.  Every
+linear operator (derivatives, polarizations, permutations, products) is a
+monomial map, ``image(mono)`` giving (monomial, factor) pairs, applied to a
+coefficient dict by the one kernel :func:`_linear_image`.
+
 Built on top of the arithmetic: the superspace Vandermonde, signed
 partial derivatives, polarization operators, harmonic closure spaces, and
 their graded Frobenius images.
@@ -21,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
-from math import factorial
+from math import factorial, perm
 
 from .combinat import GradedPoly, perm_inverse, perm_of_type
 from .errors import ScaleGuardError
@@ -45,6 +52,7 @@ __all__ = [
 ]
 
 CLOSURE_MAX_N = 5
+Coefficient = int | Fraction
 Multidegree = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -118,23 +126,47 @@ def apply_perm(mono: SuperMonomial, w: tuple[int, ...]) -> tuple[SuperMonomial, 
     return SuperMonomial(tuple(new_xs), tuple(new_thetas)), sign
 
 
+def _linear_image(terms: dict, image) -> dict:
+    """The linear extension of a monomial map, applied to a coefficient
+    dict: sum over mono of c * factor * target for every (target, factor)
+    in image(mono), with zero coefficients dropped."""
+    out: dict = {}
+    for mono, c in terms.items():
+        for target, factor in image(mono):
+            out[target] = out.get(target, 0) + c * factor
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _replace(seq: tuple, i: int, new) -> tuple:
+    return seq[:i] + (new,) + seq[i + 1 :]
+
+
 class SuperPoly:
     """Exact-rational linear combination of super-monomials."""
 
     __slots__ = ("n", "m", "p", "_terms")
 
-    def __init__(self, n: int, m: int, p: int, terms: dict[SuperMonomial, Fraction] | None = None):
+    def __init__(
+        self, n: int, m: int, p: int, terms: dict[SuperMonomial, Coefficient] | None = None
+    ):
         self.n, self.m, self.p = n, m, p
-        clean: dict[SuperMonomial, Fraction] = {}
+        clean: dict[SuperMonomial, Coefficient] = {}
         for mono, coeff in (terms or {}).items():
             if len(mono.xs) != m or len(mono.thetas) != p:
                 raise ValueError("monomial batch arity does not match the ring")
             if any(len(b) != n for b in mono.xs):
                 raise ValueError("commuting batch has wrong length")
-            c = Fraction(coeff)
-            if c:
-                clean[mono] = c
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = Fraction(coeff)
+            if coeff:
+                clean[mono] = coeff
         self._terms = clean
+
+    def _like(self, terms: dict) -> "SuperPoly":
+        """A kernel result in this ring; clean already, so nothing is checked."""
+        out = SuperPoly.__new__(SuperPoly)
+        out.n, out.m, out.p, out._terms = self.n, self.m, self.p, terms
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -144,7 +176,7 @@ class SuperPoly:
 
     @classmethod
     def one(cls, n: int, m: int, p: int) -> "SuperPoly":
-        return cls(n, m, p, {cls._unit_mono(n, m, p): Fraction(1)})
+        return cls(n, m, p, {cls._unit_mono(n, m, p): 1})
 
     @staticmethod
     def _unit_mono(n: int, m: int, p: int) -> SuperMonomial:
@@ -155,14 +187,14 @@ class SuperPoly:
         xs = [[0] * n for _ in range(m)]
         xs[batch][i] = 1
         mono = SuperMonomial(tuple(tuple(b) for b in xs), tuple(() for _ in range(p)))
-        return cls(n, m, p, {mono: Fraction(1)})
+        return cls(n, m, p, {mono: 1})
 
     @classmethod
     def theta(cls, n: int, m: int, p: int, i: int, batch: int = 0) -> "SuperPoly":
         thetas = [() for _ in range(p)]
         thetas[batch] = (i,)
         mono = SuperMonomial(tuple((0,) * n for _ in range(m)), tuple(thetas))
-        return cls(n, m, p, {mono: Fraction(1)})
+        return cls(n, m, p, {mono: 1})
 
     # -- arithmetic -----------------------------------------------------
 
@@ -170,10 +202,10 @@ class SuperPoly:
         if (self.n, self.m, self.p) != (other.n, other.m, other.p):
             raise ValueError("ambient batch structure mismatch")
 
-    def terms(self) -> dict[SuperMonomial, Fraction]:
+    def terms(self) -> dict[SuperMonomial, Coefficient]:
         return dict(self._terms)
 
-    def items(self) -> list[tuple[SuperMonomial, Fraction]]:
+    def items(self) -> list[tuple[SuperMonomial, Coefficient]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0])
 
     def __bool__(self) -> bool:
@@ -190,39 +222,35 @@ class SuperPoly:
         self._check(other)
         out = dict(self._terms)
         for mono, c in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return SuperPoly(self.n, self.m, self.p, out)
+            out[mono] = out.get(mono, 0) + c
+        return self._like({mono: c for mono, c in out.items() if c})
 
     def __neg__(self) -> "SuperPoly":
-        return SuperPoly(self.n, self.m, self.p, {k: -c for k, c in self._terms.items()})
+        return self._like(_linear_image(self._terms, lambda mono: ((mono, -1),)))
 
     def __sub__(self, other: "SuperPoly") -> "SuperPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SuperPoly(self.n, self.m, self.p, {k: c * other for k, c in self._terms.items()})
+            return self._like(_linear_image(self._terms, lambda mono: ((mono, other),)))
         if not isinstance(other, SuperPoly):
             return NotImplemented
         self._check(other)
-        out: dict[SuperMonomial, Fraction] = {}
-        for ma, ca in self._terms.items():
+
+        def image(ma):
             for mb, cb in other._terms.items():
                 mono, sign = mono_mul(ma, mb)
-                if mono is None:
-                    continue
-                out[mono] = out.get(mono, Fraction(0)) + sign * ca * cb
-        return SuperPoly(self.n, self.m, self.p, out)
+                if mono is not None:
+                    yield mono, sign * cb
+
+        return self._like(_linear_image(self._terms, image))
 
     __rmul__ = __mul__
 
     def apply(self, w: tuple[int, ...]) -> "SuperPoly":
         """Diagonal subscript action of a permutation."""
-        out: dict[SuperMonomial, Fraction] = {}
-        for mono, c in self._terms.items():
-            img, sign = apply_perm(mono, w)
-            out[img] = out.get(img, Fraction(0)) + sign * c
-        return SuperPoly(self.n, self.m, self.p, out)
+        return self._like(_linear_image(self._terms, lambda mono: (apply_perm(mono, w),)))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -248,22 +276,6 @@ def _mono_str(mono: SuperMonomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _perm_sign(w: tuple[int, ...]) -> int:
-    seen = [False] * len(w)
-    sign = 1
-    for i in range(len(w)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = w[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> SuperPoly:
     """Antisymmetrized staircase-times-theta seed in one x and one theta batch.
 
@@ -284,64 +296,66 @@ def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> Sup
     for j in range(k):
         exps[r + j] = k - 1 - j
     seed = SuperMonomial((tuple(exps),), (tuple(range(r)),))
-    terms: dict[SuperMonomial, Fraction] = {}
-    for w in permutations(range(n)):
-        mono, tsign = apply_perm(seed, w + tuple(range(n, amb)))
-        terms[mono] = terms.get(mono, Fraction(0)) + _perm_sign(w) * tsign
-    return SuperPoly(amb, 1, 1, terms)
+    fixed = tuple(range(n, amb))
+
+    def antisymmetrize(mono):
+        for w in permutations(range(n)):
+            img, tsign = apply_perm(mono, w + fixed)
+            yield img, theta_canonical(w)[1] * tsign  # the sign of w, times the theta sign
+
+    return SuperPoly(amb, 1, 1, _linear_image({seed: 1}, antisymmetrize))
+
+
+def _d_x_image(i: int, batch: int, mono: SuperMonomial):
+    """d/dx_i of the batch on one monomial."""
+    e = mono.xs[batch][i]
+    if not e:
+        return ()
+    xs = _replace(mono.xs, batch, _replace(mono.xs[batch], i, e - 1))
+    return ((SuperMonomial(xs, mono.thetas), e),)
+
+
+def _d_theta_image(i: int, batch: int, mono: SuperMonomial):
+    """Signed d/dtheta_i of the batch on one monomial: striking the 1-based
+    position s carries the sign (-1)^(s-1)."""
+    idx = mono.thetas[batch]
+    if i not in idx:
+        return ()
+    pos = idx.index(i)
+    thetas = _replace(mono.thetas, batch, idx[:pos] + idx[pos + 1 :])
+    return ((SuperMonomial(mono.xs, thetas), (-1) ** pos),)
+
+
+def _x_polarization_image(src: int, dst: int, j: int, mono: SuperMonomial):
+    """sum_i x_i^(dst) (d/dx_i^(src))^j on one monomial, in one pass over i."""
+    xs, out = mono.xs, []
+    for i, e in enumerate(xs[src]):
+        if e >= j:  # (d/dx_i)^j x_i^e = e (e-1) ... (e-j+1) x_i^(e-j)
+            moved = _replace(xs, src, _replace(xs[src], i, e - j))
+            moved = _replace(moved, dst, _replace(xs[dst], i, xs[dst][i] + 1))
+            out.append((SuperMonomial(moved, mono.thetas), perm(e, j)))
+    return out
+
+
+def _theta_polarization_image(src: int, dst: int, mono: SuperMonomial):
+    """sum_i theta_i^(dst) d/dtheta_i^(src) on one monomial, in one pass over i."""
+    thetas, out = mono.thetas, []
+    for pos, i in enumerate(thetas[src]):
+        merged, sign = theta_canonical((i,) + thetas[dst])
+        if merged is not None:
+            moved = _replace(thetas, src, thetas[src][:pos] + thetas[src][pos + 1 :])
+            out.append((SuperMonomial(mono.xs, _replace(moved, dst, merged)), (-1) ** pos * sign))
+    return out
 
 
 def d_x(poly: SuperPoly, i: int, batch: int = 0) -> SuperPoly:
     """Partial derivative in the i-th commuting generator of the batch."""
-    out: dict[SuperMonomial, Fraction] = {}
-    for mono, c in poly.terms().items():
-        e = mono.xs[batch][i]
-        if e == 0:
-            continue
-        new_batch = list(mono.xs[batch])
-        new_batch[i] = e - 1
-        xs = mono.xs[:batch] + (tuple(new_batch),) + mono.xs[batch + 1 :]
-        img = SuperMonomial(xs, mono.thetas)
-        out[img] = out.get(img, Fraction(0)) + c * e
-    return SuperPoly(poly.n, poly.m, poly.p, out)
+    return poly._like(_linear_image(poly._terms, partial(_d_x_image, i, batch)))
 
 
 def d_theta(poly: SuperPoly, i: int, batch: int = 0) -> SuperPoly:
     """Signed derivative striking theta_i: sign (-1)^(s-1) for position s."""
-    out: dict[SuperMonomial, Fraction] = {}
-    for mono, c in poly.terms().items():
-        idx = mono.thetas[batch]
-        if i not in idx:
-            continue
-        pos = idx.index(i)  # striking 1-based position s carries sign (-1)^(s-1)
-        new_idx = idx[:pos] + idx[pos + 1 :]
-        thetas = mono.thetas[:batch] + (new_idx,) + mono.thetas[batch + 1 :]
-        img = SuperMonomial(mono.xs, thetas)
-        out[img] = out.get(img, Fraction(0)) + c * (-1) ** pos
-    return SuperPoly(poly.n, poly.m, poly.p, out)
-
-
-def _theta_left_mul(poly: SuperPoly, i: int, batch: int) -> SuperPoly:
-    """Left multiplication by theta_i within one anticommuting batch."""
-    out: dict[SuperMonomial, Fraction] = {}
-    for mono, c in poly.terms().items():
-        merged, sign = theta_canonical((i,) + mono.thetas[batch])
-        if merged is None:
-            continue
-        thetas = mono.thetas[:batch] + (merged,) + mono.thetas[batch + 1 :]
-        img = SuperMonomial(mono.xs, thetas)
-        out[img] = out.get(img, Fraction(0)) + c * sign
-    return SuperPoly(poly.n, poly.m, poly.p, out)
-
-
-def _x_mul(poly: SuperPoly, i: int, batch: int) -> SuperPoly:
-    out: dict[SuperMonomial, Fraction] = {}
-    for mono, c in poly.terms().items():
-        new_batch = list(mono.xs[batch])
-        new_batch[i] += 1
-        xs = mono.xs[:batch] + (tuple(new_batch),) + mono.xs[batch + 1 :]
-        out[SuperMonomial(xs, mono.thetas)] = c
-    return SuperPoly(poly.n, poly.m, poly.p, out)
+    return poly._like(_linear_image(poly._terms, partial(_d_theta_image, i, batch)))
 
 
 def polarization(src: int, dst: int, j: int = 1, *, kind: str = "x"):
@@ -359,21 +373,16 @@ def polarization(src: int, dst: int, j: int = 1, *, kind: str = "x"):
         raise ValueError("j must be positive")
     if kind == "theta" and j != 1:
         raise ValueError("anticommuting polarization only exists for j = 1")
+    if kind == "x":
+        image = partial(_x_polarization_image, src, dst, j)
+    else:
+        image = partial(_theta_polarization_image, src, dst)
 
     def op(poly: SuperPoly) -> SuperPoly:
         nbatches = poly.m if kind == "x" else poly.p
         if not (0 <= src < nbatches and 0 <= dst < nbatches):
             raise ValueError(f"batch out of range for kind {kind!r}")
-        total = SuperPoly.zero(poly.n, poly.m, poly.p)
-        for i in range(poly.n):
-            if kind == "x":
-                piece = poly
-                for _ in range(j):
-                    piece = d_x(piece, i, src)
-                total = total + _x_mul(piece, i, dst)
-            else:
-                total = total + _theta_left_mul(d_theta(poly, i, src), i, dst)
-        return total
+        return poly._like(_linear_image(poly._terms, image))
 
     return op
 
@@ -411,17 +420,6 @@ class ClosureSpace:
         }
 
 
-def _closure_operators(n: int, m: int, p: int):
-    ops = []
-    for b in range(m):
-        for i in range(n):
-            ops.append(lambda f, i=i, b=b: d_x(f, i, b))
-    for b in range(p):
-        for i in range(n):
-            ops.append(lambda f, i=i, b=b: d_theta(f, i, b))
-    return ops
-
-
 def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
     """Smallest subspace containing the Vandermonde seed and closed under
     all partial derivatives and polarization operators.
@@ -444,43 +442,32 @@ def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
         raise ScaleGuardError(f"harmonic closure limited to n <= {CLOSURE_MAX_N}, got n={n}")
 
     seed_11 = superspace_vandermonde(n, k)
-    if m == 1 and p == 1:
-        seed = seed_11
-    else:
-        terms = {}
-        for mono, c in seed_11.terms().items():
-            xs = (mono.xs[0],) + tuple((0,) * n for _ in range(m - 1))
-            thetas = (mono.thetas[0],) + tuple(() for _ in range(p - 1))
-            terms[SuperMonomial(xs, thetas)] = c
-        seed = SuperPoly(n, m, p, terms)
+    pad_x, pad_theta = ((0,) * n,) * (m - 1), ((),) * (p - 1)
+    seed = _linear_image(
+        seed_11._terms,
+        lambda mono: ((SuperMonomial(mono.xs + pad_x, mono.thetas + pad_theta), 1),),
+    )
 
-    ops = _closure_operators(n, m, p)
-    max_j = max(k - 1, 1)
-    for src in range(m):
-        for dst in range(m):
-            if src != dst:
-                for j in range(1, max_j + 1):
-                    ops.append(polarization(src, dst, j, kind="x"))
-    for src in range(p):
-        for dst in range(p):
-            if src != dst:
-                ops.append(polarization(src, dst, kind="theta"))
+    # The operator order fixes the order of the inserts, not the spans.
+    maps = [partial(_d_x_image, i, b) for b in range(m) for i in range(n)]
+    maps += [partial(_d_theta_image, i, b) for b in range(p) for i in range(n)]
+    for src, dst in permutations(range(m), 2):
+        maps += [partial(_x_polarization_image, src, dst, j) for j in range(1, max(k, 2))]
+    for src, dst in permutations(range(p), 2):
+        maps.append(partial(_theta_polarization_image, src, dst))
 
     spaces: dict[Multidegree, EchelonBasis] = {}
 
-    def insert(poly: SuperPoly) -> bool:
-        if not poly:
-            return False
-        md = next(iter(poly.terms())).multidegree()
-        basis = spaces.setdefault(md, EchelonBasis())
-        return basis.insert(poly.terms())
+    def insert(terms: dict) -> bool:
+        md = next(iter(terms)).multidegree()
+        return spaces.setdefault(md, EchelonBasis()).insert(terms)
 
     queue = [seed]
     insert(seed)
     while queue:
         vec = queue.pop()
-        for op in ops:
-            img = op(vec)
+        for image in maps:
+            img = _linear_image(vec, image)
             if img and insert(img):
                 queue.append(img)
     return ClosureSpace(n, m, p, k, spaces)

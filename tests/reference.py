@@ -13,20 +13,26 @@
   of the shape enumerated and its des and maj read off one by one.
 - :func:`schur_decompose`: the character inner product summed term by
   term in Fractions.
+- :func:`harmonic_closure`: the breadth-first closure search over
+  :class:`SuperPoly` operators, each polarization written as a sum over i
+  of x_i (or theta_i) times a derivative, with every span kept in a
+  :class:`FractionEchelonBasis`.
 
 The first two share no code with the library beyond monomial enumeration,
 the symmetric polynomials and cycle-type representatives.  The third
 shares the library's echelon basis, invariants and monomial products; it
-differs in how the ideal piece is spanned.  The last two share the
+differs in how the ideal piece is spanned.  The next two share the
 tableau enumeration, the partition counts and the characters, and differ
-in how they are combined.
+in how they are combined.  The last shares the seed, the derivatives and
+the polynomial product; it differs in how polarizations are applied, in
+the coefficient type and in the linear algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 
 from spanrep.combinat import (
     Partition,
@@ -47,6 +53,7 @@ from spanrep.oracle import (
     elementary_sym,
     monomials_of_degree,
 )
+from spanrep.superspace import SuperMonomial, SuperPoly, d_theta, d_x, superspace_vandermonde
 from spanrep.symfun import ClassFunction, SchurExpansion, irr_character
 
 _ZERO = Fraction(0)
@@ -196,3 +203,56 @@ def schur_decompose(chi: ClassFunction) -> SchurExpansion:
         if acc:
             coeffs[lam] = int(acc)
     return SchurExpansion(chi.n, coeffs)
+
+
+def x_polarization(f: SuperPoly, src: int, dst: int, j: int) -> SuperPoly:
+    """sum_i x_i^(dst) * (d/dx_i^(src))^j f."""
+    total = SuperPoly.zero(f.n, f.m, f.p)
+    for i in range(f.n):
+        piece = f
+        for _ in range(j):
+            piece = d_x(piece, i, src)
+        total = total + SuperPoly.x(f.n, f.m, f.p, i, dst) * piece
+    return total
+
+
+def theta_polarization(f: SuperPoly, src: int, dst: int) -> SuperPoly:
+    """sum_i theta_i^(dst) * d/dtheta_i^(src) f."""
+    total = SuperPoly.zero(f.n, f.m, f.p)
+    for i in range(f.n):
+        total = total + SuperPoly.theta(f.n, f.m, f.p, i, dst) * d_theta(f, i, src)
+    return total
+
+
+def harmonic_closure(n: int, m: int, p: int, k: int) -> dict:
+    """Multidegree -> FractionEchelonBasis of the span of the Vandermonde
+    seed (first batch of each kind) under every derivative and every
+    polarization, polarization powers up to max(k - 1, 1)."""
+    pad_x, pad_theta = ((0,) * n,) * (m - 1), ((),) * (p - 1)
+    seed = SuperPoly(n, m, p, {
+        SuperMonomial(mono.xs + pad_x, mono.thetas + pad_theta): c
+        for mono, c in superspace_vandermonde(n, k).terms().items()
+    })
+    ops = [lambda f, i=i, b=b: d_x(f, i, b) for b in range(m) for i in range(n)]
+    ops += [lambda f, i=i, b=b: d_theta(f, i, b) for b in range(p) for i in range(n)]
+    for src, dst in permutations(range(m), 2):
+        for j in range(1, max(k - 1, 1) + 1):
+            ops.append(lambda f, s=src, d=dst, j=j: x_polarization(f, s, d, j))
+    for src, dst in permutations(range(p), 2):
+        ops.append(lambda f, s=src, d=dst: theta_polarization(f, s, d))
+
+    spaces: dict = {}
+
+    def insert(poly: SuperPoly) -> bool:
+        md = poly.items()[0][0].multidegree()
+        return spaces.setdefault(md, FractionEchelonBasis()).insert(poly.terms())
+
+    queue = [seed]
+    insert(seed)
+    while queue:
+        vec = queue.pop()
+        for op in ops:
+            img = op(vec)
+            if img and insert(img):
+                queue.append(img)
+    return spaces

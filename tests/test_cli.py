@@ -79,6 +79,11 @@ def test_frobenius_oracle_guard_by_piece_size(capsys):
         ["stability", "-", "1", "--fixed-k", "0", "--n-max", "10"],
         ["stability", "-", "1", "--fixed-codim", "-1", "--n-max", "10"],
         ["explore", "--problem", "grassmann", "--d", "2", "--n", "1", "--k", "5"],
+        ["explore", "--problem", "zabrocki-t0", "--n", "-1"],
+        ["explore", "--problem", "rw-twist", "--n", "0"],
+        ["explore", "--problem", "rw-twist", "--n", "-3"],
+        ["superspace", "3", "3", "--check-identity"],
+        ["superspace", "2", "3", "--closure"],
     ],
 )
 def test_invalid_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
@@ -88,6 +93,7 @@ def test_invalid_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "fixtures").exists()
 
 
 def test_missing_subcommand_is_usage_error(capsys):

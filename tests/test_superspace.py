@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from spanrep.combinat import GradedPoly, Partition
 from spanrep.errors import ScaleGuardError
 from spanrep.oracle import decompose_coinvariants
@@ -136,6 +137,53 @@ def test_polarization_anticommuting_signs():
     assert rho(xi(0) * xi(1)) == tau(0) * xi(1) - tau(1) * xi(0)
 
 
+# Random polynomials in the ring n = 3 with two batches of each kind.
+ring_monos = st.builds(
+    lambda xs, thetas: SuperMonomial(tuple(xs), tuple(tuple(sorted(t)) for t in thetas)),
+    st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=2, max_size=2),
+    st.lists(st.sets(st.integers(0, 2)), min_size=2, max_size=2),
+)
+ring_coeffs = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
+ring_polys = st.dictionaries(ring_monos, ring_coeffs, max_size=5).map(
+    lambda terms: SuperPoly(3, 2, 2, terms)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_polys, st.integers(1, 3))
+def test_x_polarization_is_a_sum_of_products(f, j):
+    assert polarization(0, 1, j, kind="x")(f) == reference.x_polarization(f, 0, 1, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_polys)
+def test_theta_polarization_is_a_sum_of_products(f):
+    assert polarization(0, 1, kind="theta")(f) == reference.theta_polarization(f, 0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_polys, ring_polys, st.integers(0, 2), st.integers(0, 1))
+def test_d_x_leibniz(f, g, i, b):
+    assert d_x(f * g, i, b) == d_x(f, i, b) * g + f * d_x(g, i, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_polys, ring_polys, st.integers(0, 2), st.integers(0, 1), st.integers(0, 3))
+def test_d_theta_graded_leibniz(f, g, i, b, e):
+    # keep the part of f of theta-degree e in batch b, so f has one parity there
+    f = SuperPoly(3, 2, 2, {mono: c for mono, c in f.terms().items() if len(mono.thetas[b]) == e})
+    assert d_theta(f * g, i, b) == d_theta(f, i, b) * g + (-1) ** e * f * d_theta(g, i, b)
+
+
+def test_integer_coefficients_stay_int():
+    delta = superspace_vandermonde(3, 2)
+    images = [delta, -delta, delta * 3, delta * x(0, 3), delta.apply((1, 2, 0)), d_x(delta, 0)]
+    images.append(polarization(0, 1)(SuperPoly.x(3, 2, 1, 0) * SuperPoly.x(3, 2, 1, 0)))
+    for poly in images:
+        assert poly and all(type(c) is int for c in poly.terms().values())
+    assert all(type(c) is Fraction for c in (delta * Fraction(1, 2)).terms().values())
+
+
 def test_polarization_validation():
     with pytest.raises(ValueError):
         polarization(0, 0, kind="x")
@@ -190,6 +238,20 @@ def test_closure_is_symmetric_group_stable():
                 for _, row in basis.rows():
                     image = SuperPoly(n, 1, 1, row).apply(w)
                     assert basis.contains(image.terms()), (n, k, md, w)
+
+
+@pytest.mark.parametrize(
+    "n, m, p, k",
+    [(n, m, p, k) for n in range(1, 4) for k in range(1, n + 1) for m in (1, 2) for p in (1, 2)]
+    + [(4, 1, 1, k) for k in range(1, 5)],
+)
+def test_closure_matches_reference(n, m, p, k):
+    space = harmonic_closure(n, m, p, k)
+    ref = reference.harmonic_closure(n, m, p, k)
+    assert set(space.spaces) == set(ref)
+    for md, basis in ref.items():
+        assert space.spaces[md].rank == basis.rank, md
+        assert all(space.spaces[md].contains(row) for _, row in basis.rows()), md
 
 
 def test_closure_scale_guard():
