@@ -127,8 +127,6 @@ def _printable_frobenius(payload) -> bool:
 
 def cmd_frobenius(args) -> int:
     n, k = args.n, args.k
-    if not 1 <= k <= n:
-        return _usage_error(f"need 1 <= k <= n, got n={n}, k={k}")
     params = {"n": n, "k": k, "source": args.source, "max_degree": args.max_degree}
     cache_dir = _cache_dir(args)
     key = cache_key("frobenius", params)

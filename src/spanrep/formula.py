@@ -178,9 +178,6 @@ class Homogeneous:
     degree: int
 
 
-FSpec = "Elementary | Homogeneous | tuple"
-
-
 def _eval_elementary(j: int, monomials: list[GradedPoly]) -> GradedPoly:
     if j < 0:
         return GradedPoly.zero()

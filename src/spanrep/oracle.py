@@ -8,6 +8,9 @@ plus the generators of degree d, and row-reduced exactly with integer
 rows -- no Groebner machinery, and nothing from the tableau formula.
 The superspace coinvariant ideal is spanned the same way, each piece from
 its invariants and the degree-one generators times the piece below.
+Both invariant spaces, the diagonal ones and the Grassmann oracle's
+within-batch ones, are signed orbit sums of monomials, one per orbit
+(:func:`_orbit_sums`); disjoint supports make them independent as they are.
 Traces of permutations on quotients are (signed fixed monomials) minus
 the trace on the ideal subspace, the latter read off pivot coordinates
 of the reduced echelon basis (valid because the ideals are stable under
@@ -22,7 +25,6 @@ oracle refuses d*n > 8.  These fail loudly rather than thrash.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -114,10 +116,6 @@ def complete_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
     return out
 
 
-def _poly_degree(poly: Poly) -> int:
-    return sum(next(iter(poly)))
-
-
 def _ideal_step(
     prev: EchelonBasis | None, generators: list[Poly], nvars: int, d: int, bound: int
 ) -> EchelonBasis:
@@ -191,9 +189,9 @@ def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
     top_degree is the highest degree piece the request will span (None
     for all of them).
     """
-    _guard(n <= COMMUTING_MAX_N, f"commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _guard(n <= COMMUTING_MAX_N, f"commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
     sizes = _fixed_monomial_counts((1,) * n, k)
     largest = max(sizes[: None if top_degree is None else top_degree + 1], default=0)
     _guard(
@@ -258,6 +256,8 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
     result is then flagged) which keeps large-n probes affordable when
     only low degrees are needed.
     """
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     _check_commuting(n, k, max_degree)
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
@@ -320,23 +320,36 @@ def decompose_superspace(
     return schur_from_traces(n, lambda rho: _signed_fixed_trace(basis, perm_of_type(rho, n)))
 
 
-@cache
-def _invariant_basis(
-    n: int, alpha: tuple[int, ...], beta: tuple[int, ...]
-) -> EchelonBasis:
-    """Echelon basis of the diagonal invariants of one multidegree piece,
-    from unnormalized symmetrization (Reynolds up to the 1/n! scalar)."""
-    basis = EchelonBasis()
-    perms = list(permutations(range(n)))
-    for mono in _multidegree_basis(n, alpha, beta):
-        acc: dict[SuperMonomial, int] = {}
-        for w in perms:
-            img, sign = apply_perm(mono, w)
+def _orbit_sums(monomials, group, act) -> list[dict]:
+    """One signed orbit sum per orbit that the monomials meet.
+
+    act(mono, w) returns (image, sign).  A monomial whose orbit has already
+    been summed is skipped, since its sum is that one up to sign.  Sums of
+    different orbits have disjoint supports, so the nonzero sums are
+    linearly independent; a sum cancels to zero when a stabilizer element
+    acts by -1, and is dropped.
+    """
+    seen: set = set()
+    sums = []
+    for mono in monomials:
+        if mono in seen:
+            continue
+        acc: dict = {}
+        for w in group:
+            img, sign = act(mono, w)
             acc[img] = acc.get(img, 0) + sign
-        vec = {k: v for k, v in acc.items() if v}
+        seen.update(acc)
+        vec = {m: c for m, c in acc.items() if c}
         if vec:
-            basis.insert(vec)
-    return basis
+            sums.append(vec)
+    return sums
+
+
+def _invariant_basis(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> list[dict]:
+    """A basis of the diagonal invariants of one multidegree piece: the
+    signed orbit sums of its super-monomials (Reynolds up to a scalar)."""
+    group = list(permutations(range(n)))
+    return _orbit_sums(_multidegree_basis(n, alpha, beta), group, apply_perm)
 
 
 def _mono_times_vector(mono: SuperMonomial, vec: dict) -> dict:
@@ -362,7 +375,7 @@ def _super_ideal_basis(
     md, m = alpha + beta, len(alpha)
     if not any(md):
         return basis  # the ideal has no constants
-    for _, row in _invariant_basis(n, alpha, beta).primitive_rows():
+    for row in _invariant_basis(n, alpha, beta):
         basis.insert(row)
     for i, e in enumerate(md):
         if not e:
@@ -384,9 +397,8 @@ def decompose_super_coinvariants(
     """Schur decomposition of one multidegree piece of the quotient by the
     ideal of positive-multidegree diagonal invariants.
 
-    The invariants of each multidegree come from exact symmetrization, and
-    the ideal piece is built from the pieces one step below it
-    (:func:`_super_ideal_basis`).
+    The invariants of each multidegree are orbit sums, and the ideal piece
+    is built from the pieces one step below it (:func:`_super_ideal_basis`).
     """
     _guard(
         n <= SUPER_QUOTIENT_MAX_N,
@@ -407,10 +419,6 @@ def decompose_super_coinvariants(
 # -- Grassmann presentation --------------------------------------------
 
 
-def _batch_indices(d: int, i: int) -> tuple[int, ...]:
-    return tuple(range(i * d, (i + 1) * d))
-
-
 def _apply_varperm(mono: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(mono)
     for i, e in enumerate(mono):
@@ -425,8 +433,9 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     The ideal in the d*n variables is generated by the top k elementary
     symmetric polynomials of all variables together with the complete
     homogeneous h_k, ..., h_{k-d+1} of each batch; invariants under the
-    within-batch symmetric groups are taken with exact symmetrization, and
-    the symmetric group character permutes whole batches.
+    within-batch symmetric groups are the orbit sums of the standard
+    monomials, reduced modulo the ideal, and the symmetric group character
+    permutes whole batches.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
@@ -440,17 +449,14 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     everyone = tuple(range(nvars))
     gens: list[Poly] = [elementary_sym(j, everyone, nvars) for j in range(nvars, nvars - k, -1)]
     for i in range(n):
-        batch = _batch_indices(d, i)
+        batch = tuple(range(i * d, (i + 1) * d))
         gens += [complete_sym(j, batch, nvars) for j in range(k, k - d, -1)]
 
     # within-batch permutations as permutations of all d*n variables
-    group: list[tuple[int, ...]] = []
-    for gs in product(permutations(range(d)), repeat=n):
-        w = [0] * nvars
-        for i, g in enumerate(gs):
-            for t in range(d):
-                w[i * d + t] = i * d + g[t]
-        group.append(tuple(w))
+    group = [
+        tuple(i * d + g[t] for i, g in enumerate(gs) for t in range(d))
+        for gs in product(permutations(range(d)), repeat=n)
+    ]
 
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
@@ -459,24 +465,15 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     while True:
         # no truncation: a bound of deg + 1 keeps every monomial of degree deg
         ideal = _ideal_step(
-            ideal, [g for g in gens if _poly_degree(g) == deg], nvars, deg, deg + 1
+            ideal, [g for g in gens if sum(next(iter(g))) == deg], nvars, deg, deg + 1
         )
         pivot_set = set(ideal.pivots())
         standard = [mm for mm in monomials_of_degree(nvars, deg) if mm not in pivot_set]
         if standard:
+            # reduce is linear, so each orbit sum is reduced once
             invariants = EchelonBasis()
-            for mm in standard:
-                acc: dict[tuple[int, ...], Fraction] = {}
-                for g in group:
-                    red = ideal.reduce({_apply_varperm(mm, g): 1})
-                    for key, c in red.items():
-                        nc = acc.get(key, 0) + c
-                        if nc:
-                            acc[key] = nc
-                        else:
-                            acc.pop(key, None)
-                if acc:
-                    invariants.insert(acc)
+            for vec in _orbit_sums(standard, group, lambda mm, w: (_apply_varperm(mm, w), 1)):
+                invariants.insert(ideal.reduce(vec))
             if invariants.rank:
                 def trace(rho):
                     sigma = perm_of_type(rho, n)

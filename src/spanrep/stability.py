@@ -74,7 +74,7 @@ def _one_multiplicity_formula(mu: Partition, s: int, k: int, n: int) -> int:
 def _one_multiplicity_oracle(mu: Partition, s: int, k: int, n: int) -> int:
     from .oracle import decompose_coinvariants
 
-    if k < 1 or k > n:
+    if k < 1 or k > n or s < 0:
         return 0
     try:
         lam = pad(mu, n)

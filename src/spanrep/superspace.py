@@ -91,9 +91,6 @@ class SuperMonomial:
     def multidegree(self) -> Multidegree:
         return tuple(sum(b) for b in self.xs), tuple(len(b) for b in self.thetas)
 
-    def total_x_degree(self) -> int:
-        return sum(sum(b) for b in self.xs)
-
 
 def mono_mul(a: SuperMonomial, b: SuperMonomial) -> tuple[SuperMonomial | None, int]:
     """Product of monomials: (canonical monomial, sign), or (None, 0)."""

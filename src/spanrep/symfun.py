@@ -117,9 +117,6 @@ class SchurExpansion:
     def coefficient(self, lam: Partition) -> GradedPoly:
         return self._coeffs.get(lam, GradedPoly.zero())
 
-    def shapes(self) -> list[Partition]:
-        return [lam for lam, _ in self.items()]
-
     def items(self) -> list[tuple[Partition, GradedPoly]]:
         """(shape, coefficient) pairs in canonical (lex-decreasing) order."""
         return sorted(self._coeffs.items(), key=lambda kv: kv[0].parts, reverse=True)

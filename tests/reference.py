@@ -6,9 +6,16 @@
   oracle over the full polynomial ring Q[x], with x_i^k among the ideal
   generators and each degree-d ideal piece spanned by every generator
   times every monomial of the complementary degree.
+- :func:`invariant_basis`: the diagonal invariants of a multidegree
+  piece, every super-monomial symmetrized over all n! permutations (so
+  each orbit is summed once per member) and the sums row-reduced.
 - :func:`super_ideal_basis`: a multidegree piece of the superspace
   coinvariant ideal spanned from scratch, as every cofactor monomial times
-  every invariant of the complementary multidegree.
+  every invariant (from :func:`invariant_basis`) of the complementary
+  multidegree.
+- :func:`grassmann_quotient`: the Grassmann oracle with every
+  within-batch image of every standard monomial reduced modulo the ideal
+  on its own and the residuals summed in Fractions.
 - :func:`shape_multiplicity`: the pair count with every standard tableau
   of the shape enumerated and its des and maj read off one by one.
 - :func:`schur_decompose`: the character inner product summed term by
@@ -19,11 +26,14 @@
   :class:`FractionEchelonBasis`.
 
 The first two share no code with the library beyond monomial enumeration,
-the symmetric polynomials and cycle-type representatives.  The third
-shares the library's echelon basis, invariants and monomial products; it
-differs in how the ideal piece is spanned.  The next two share the
-tableau enumeration, the partition counts and the characters, and differ
-in how they are combined.  The last shares the seed, the derivatives and
+the symmetric polynomials and cycle-type representatives.  The next two
+share the library's echelon basis, super-monomial enumeration, subscript
+action and monomial products; they differ from the library's orbit sums
+and one-step-down recursion in how invariants and the ideal piece are
+spanned.  The Grassmann reference shares the ideal step, the trace
+readout and the Schur readout; it differs in how the invariants of the
+quotient are formed.  The next two share the tableau enumeration, the
+partition counts and the characters, and differ in how they are combined.  The last shares the seed, the derivatives and
 the polynomial product; it differs in how polarizations are applied, in
 the coefficient type and in the linear algebra.
 """
@@ -45,16 +55,26 @@ from spanrep.combinat import (
     z_lambda,
 )
 from spanrep.errors import NotACharacterError
-from spanrep.linalg import EchelonBasis
+from spanrep.linalg import EchelonBasis, stable_trace
 from spanrep.oracle import (
-    _invariant_basis,
+    GradedDecomposition,
+    _apply_varperm,
+    _ideal_step,
     _mono_times_vector,
     _multidegree_basis,
+    complete_sym,
     elementary_sym,
     monomials_of_degree,
 )
-from spanrep.superspace import SuperMonomial, SuperPoly, d_theta, d_x, superspace_vandermonde
-from spanrep.symfun import ClassFunction, SchurExpansion, irr_character
+from spanrep.superspace import (
+    SuperMonomial,
+    SuperPoly,
+    apply_perm,
+    d_theta,
+    d_x,
+    superspace_vandermonde,
+)
+from spanrep.symfun import ClassFunction, SchurExpansion, irr_character, schur_from_traces
 
 _ZERO = Fraction(0)
 
@@ -156,6 +176,21 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     return fixed - int(ideal_trace)
 
 
+@cache
+def invariant_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
+    """Echelon basis of the diagonal invariants of one multidegree piece,
+    from unnormalized symmetrization of every super-monomial."""
+    basis = EchelonBasis()
+    perms = list(permutations(range(n)))
+    for mono in _multidegree_basis(n, alpha, beta):
+        acc: dict = {}
+        for w in perms:
+            img, sign = apply_perm(mono, w)
+            acc[img] = acc.get(img, 0) + sign
+        basis.insert({k: v for k, v in acc.items() if v})
+    return basis
+
+
 def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
     """Multidegree (alpha, beta) piece of the ideal generated by the
     positive-multidegree diagonal invariants: cofactor monomial times
@@ -168,11 +203,73 @@ def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
             cof_alpha = tuple(a - g for a, g in zip(alpha, gamma))
             cof_beta = tuple(b - d for b, d in zip(beta, delta))
             for cof in _multidegree_basis(n, cof_alpha, cof_beta):
-                for _, row in _invariant_basis(n, gamma, delta).primitive_rows():
+                for _, row in invariant_basis(n, gamma, delta).primitive_rows():
                     vec = _mono_times_vector(cof, row)
                     if vec:
                         ideal.insert(vec)
     return ideal
+
+
+def batch_group(d: int, n: int) -> list[tuple]:
+    """The within-batch permutations of d*n variables, batch i being the
+    variables i*d, ..., i*d + d - 1, written out index by index."""
+    group = []
+    for gs in product(permutations(range(d)), repeat=n):
+        w = [0] * (d * n)
+        for i, g in enumerate(gs):
+            for t in range(d):
+                w[i * d + t] = i * d + g[t]
+        group.append(tuple(w))
+    return group
+
+
+def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
+    """The batch-symmetric quotient presentation of spanning d-plane
+    configurations, its invariants formed image by image: for each
+    standard monomial, the residual of every within-batch image, summed."""
+    nvars = d * n
+    everyone = tuple(range(nvars))
+    gens = [elementary_sym(j, everyone, nvars) for j in range(nvars, nvars - k, -1)]
+    for i in range(n):
+        batch = tuple(range(i * d, (i + 1) * d))
+        gens += [complete_sym(j, batch, nvars) for j in range(k, k - d, -1)]
+    group = batch_group(d, n)
+    by_degree, dims = {}, {}
+    ideal = None
+    deg = 0
+    while True:
+        degree_gens = [g for g in gens if sum(next(iter(g))) == deg]
+        ideal = _ideal_step(ideal, degree_gens, nvars, deg, deg + 1)
+        pivot_set = set(ideal.pivots())
+        standard = [mm for mm in monomials_of_degree(nvars, deg) if mm not in pivot_set]
+        invariants = EchelonBasis()
+        for mm in standard:
+            acc: dict = {}
+            for g in group:
+                for key, c in ideal.reduce({_apply_varperm(mm, g): 1}).items():
+                    nc = acc.get(key, _ZERO) + c
+                    if nc:
+                        acc[key] = nc
+                    else:
+                        acc.pop(key, None)
+            invariants.insert(acc)
+        if invariants.rank:
+            def trace(rho):
+                sigma = perm_of_type(rho, n)
+                varperm = tuple(sigma[i] * d + t for i in range(n) for t in range(d))
+
+                def coordinate(pivot, row):
+                    image = {_apply_varperm(mono, varperm): c for mono, c in row.items()}
+                    return ideal.reduce(image).get(pivot, 0)
+
+                return stable_trace(invariants, coordinate)
+
+            by_degree[deg] = schur_from_traces(n, trace)
+            dims[deg] = invariants.rank
+        if not standard and deg >= nvars:
+            break
+        deg += 1
+    return GradedDecomposition(by_degree=by_degree, dims=dims)
 
 
 def shape_multiplicity(lam: Partition, k: int, s: int) -> int:

@@ -84,6 +84,9 @@ def test_frobenius_oracle_guard_by_piece_size(capsys):
         ["explore", "--problem", "rw-twist", "--n", "-3"],
         ["superspace", "3", "3", "--check-identity"],
         ["superspace", "2", "3", "--closure"],
+        ["frobenius", "3", "2", "--max-degree", "-1", "--source", "oracle"],
+        ["frobenius", "3", "2", "--max-degree", "-1", "--source", "both"],
+        ["frobenius", "9", "10", "--source", "oracle"],
     ],
 )
 def test_invalid_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -10,8 +10,12 @@ from spanrep.errors import ScaleGuardError
 from spanrep.formula import grfrob_tableaux
 from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
+    _apply_varperm,
     _check_commuting,
     _count_fixed_monomials,
+    _invariant_basis,
+    _multidegree_basis,
+    _orbit_sums,
     _super_ideal_basis,
     character_on_quotient,
     complete_sym,
@@ -24,6 +28,7 @@ from spanrep.oracle import (
     perm_of_type,
     quotient_basis,
 )
+from spanrep.superspace import apply_perm
 from spanrep.symfun import SchurExpansion, dimension
 
 
@@ -282,7 +287,89 @@ def test_super_coinvariants_bigraded_fixture_n2():
     }
 
 
+# -- orbit sums ------------------------------------------------------------------
+
+
+def _unsigned_varperm(mono, w):
+    return _apply_varperm(mono, w), 1
+
+
+def _orbit_cases():
+    """(monomials, group, act): super-monomial pieces under the signed
+    subscript action, and polynomial degrees under within-batch groups."""
+    for n in range(1, 4):
+        group = list(permutations(range(n)))
+        for alpha, beta in [((2,), (1,)), ((1,), (2,)), ((1, 1), (1,)), ((), (1, 1)), ((3,), (0,))]:
+            yield _multidegree_basis(n, alpha, beta), group, apply_perm
+    yield _multidegree_basis(4, (2,), (2,)), list(permutations(range(4))), apply_perm
+    for d, n in [(2, 2), (3, 2), (2, 3)]:
+        for deg in range(4):
+            yield monomials_of_degree(d * n, deg), reference.batch_group(d, n), _unsigned_varperm
+
+
+def _act_on(vec, w, act):
+    out = {}
+    for mono, c in vec.items():
+        img, sign = act(mono, w)
+        out[img] = out.get(img, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def test_orbit_sums_are_invariant():
+    for monomials, group, act in _orbit_cases():
+        for vec in _orbit_sums(monomials, group, act):
+            assert vec
+            for w in group:
+                assert _act_on(vec, w, act) == vec, (vec, w)
+
+
+def test_orbit_sums_have_disjoint_supports():
+    for monomials, group, act in _orbit_cases():
+        seen = set()
+        for vec in _orbit_sums(monomials, group, act):
+            assert seen.isdisjoint(vec)
+            seen.update(vec)
+
+
+def _symmetrize(mono, group, act):
+    acc = {}
+    for w in group:
+        img, sign = act(mono, w)
+        acc[img] = acc.get(img, 0) + sign
+    return acc
+
+
+def test_orbit_sums_cover_every_monomial():
+    # A monomial outside every returned support is one whose own orbit sum
+    # cancels; the signed cases include such monomials.
+    cancelled = 0
+    for monomials, group, act in _orbit_cases():
+        support = set().union(*_orbit_sums(monomials, group, act))
+        for mono in monomials:
+            if mono not in support:
+                assert not any(_symmetrize(mono, group, act).values()), mono
+                cancelled += 1
+    assert cancelled
+
+
+def _assert_invariants_match_reference(n, alpha, beta):
+    sums = _invariant_basis(n, alpha, beta)
+    basis = EchelonBasis()
+    for vec in sums:
+        assert basis.insert(vec)
+    expected = reference.invariant_basis(n, alpha, beta).primitive_rows()
+    assert basis.primitive_rows() == expected, (n, alpha, beta)
+
+
+def test_invariant_orbit_sums_match_full_symmetrization():
+    for n in range(1, 5):
+        for a in range(n * (n - 1) // 2 + 1):
+            for b in range(n + 1):
+                _assert_invariants_match_reference(n, (a,), (b,))
+
+
 def _assert_ideal_matches_reference(n, alpha, beta):
+    _assert_invariants_match_reference(n, alpha, beta)
     got = _super_ideal_basis(n, alpha, beta).primitive_rows()
     assert got == reference.super_ideal_basis(n, alpha, beta).primitive_rows(), (n, alpha, beta)
 
@@ -338,6 +425,18 @@ def test_grassmann_golden_fixture_2_2_3():
         2: exp_of(2, ((2,), 1), ((1, 1), 1)),
         3: exp_of(2, ((1, 1), 1)),
     }
+
+
+@pytest.mark.parametrize(
+    "d, n, k_max",
+    [(1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 1, 2), (2, 2, 4), (2, 3, 6), (3, 2, 4)],
+)
+def test_grassmann_orbit_sums_match_image_by_image_reference(d, n, k_max):
+    for k in range(d, k_max + 1):
+        got = grassmann_quotient(d, n, k)
+        expected = reference.grassmann_quotient(d, n, k)
+        assert got.by_degree == expected.by_degree, (d, n, k)
+        assert got.dims == expected.dims, (d, n, k)
 
 
 def test_grassmann_validation_and_guard():

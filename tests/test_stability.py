@@ -23,6 +23,12 @@ def test_sequence_trivial_rep_in_h2():
     assert seq.truncated_at is None
 
 
+def test_oracle_sequence_is_zero_below_degree_zero():
+    seq = multiplicity_sequence(Partition(), -1, FixedK(2), 4, source="oracle")
+    assert seq.values == multiplicity_sequence(Partition(), -1, FixedK(2), 4).values
+    assert all(v == 0 for _, v in seq.values)
+
+
 def test_sequence_zero_when_mu_exceeds_s():
     seq = multiplicity_sequence(Partition((2,)), 1, FixedK(3), 9)
     assert all(v == 0 for _, v in seq.values)
