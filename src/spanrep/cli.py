@@ -80,7 +80,10 @@ def _cache_dir(args) -> str | None:
 def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> dict:
     sources: dict[str, list] = {}
     if source in ("formula", "both"):
-        sources["formula"] = degree_table_to_json(grfrob_tableaux(n, k).by_degree)
+        table = grfrob_tableaux(n, k).by_degree
+        if max_degree is not None:
+            table = {d: exp for d, exp in table.items() if d <= max_degree}
+        sources["formula"] = degree_table_to_json(table)
     if source in ("oracle", "both"):
         dec = decompose_coinvariants(n, k, max_degree=max_degree)
         sources["oracle"] = degree_table_to_json(dec.by_degree)
@@ -88,8 +91,6 @@ def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> d
     if source == "both":
         f_entries = {(r["degree"], tuple(r["shape"])): r["coeff"] for r in sources["formula"]}
         o_entries = {(r["degree"], tuple(r["shape"])): r["coeff"] for r in sources["oracle"]}
-        if max_degree is not None:
-            f_entries = {key: c for key, c in f_entries.items() if key[0] <= max_degree}
         for key in sorted(set(f_entries) | set(o_entries)):
             fc = f_entries.get(key)
             oc = o_entries.get(key)
@@ -127,6 +128,8 @@ def _printable_frobenius(payload) -> bool:
 
 def cmd_frobenius(args) -> int:
     n, k = args.n, args.k
+    if args.max_degree is not None and args.max_degree < 0:
+        return _usage_error(f"need --max-degree >= 0, got {args.max_degree}")
     params = {"n": n, "k": k, "source": args.source, "max_degree": args.max_degree}
     cache_dir = _cache_dir(args)
     key = cache_key("frobenius", params)
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     fro.add_argument("--source", choices=("formula", "oracle", "both"), default="formula")
     fro.add_argument("--format", choices=("json", "csv"), default="json")
     fro.add_argument("--max-degree", type=int, default=None,
-                     help="truncate the oracle at this degree")
+                     help="report degrees up to this one only")
     fro.add_argument("--cache-dir", default=None,
                      help=f"result cache directory (or ${ENV_CACHE_DIR})")
     fro.add_argument("--verify-cache", action="store_true",

@@ -1,13 +1,14 @@
 """Brute-force ground truth: exact linear algebra on graded quotient rings.
 
-The spanning-line ring Q[x]/<x_i^k, e_n, ..., e_{n-k+1}> is computed as a
-quotient of the truncated ring A = Q[x]/<x_i^k>, whose basis is the
-monomials with every exponent below k.  The ideal piece of degree d is
-spanned degree by degree, as the x_j-multiples of the degree-(d-1) piece
-plus the generators of degree d, and row-reduced exactly with integer
-rows -- no Groebner machinery, and nothing from the tableau formula.
-The superspace coinvariant ideal is spanned the same way, each piece from
-its invariants and the degree-one generators times the piece below.
+Spanning d-plane configurations give Q[x]/I over d*n variables, with I
+generated by the top k elementary symmetric polynomials of all variables
+and h_k, ..., h_{k-d+1} of each batch of d; lines are d = 1.  Every x_i^k
+lies in I, so the quotient is computed from the truncated ring
+A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
+k.  Each ideal piece, these and the superspace coinvariant ones alike, is
+spanned by one kernel (:func:`_span_piece`) from its generators and the
+degree-one multiples of the pieces below, and row-reduced exactly with
+integer rows -- no Groebner machinery, and nothing from the tableau formula.
 Both invariant spaces, the diagonal ones and the Grassmann oracle's
 within-batch ones, are signed orbit sums of monomials, one per orbit
 (:func:`_orbit_sums`); disjoint supports make them independent as they are.
@@ -16,10 +17,10 @@ the trace on the ideal subspace, the latter read off pivot coordinates
 of the reduced echelon basis (valid because the ideals are stable under
 the subscript action; tests exercise that stability directly).
 
-Scale guards: the commuting oracle refuses n > 7 and any request whose
+Scale guards: the line and d-plane oracles refuse any request whose
 largest piece A_d has more than COMMUTING_MAX_PIECE monomials (counted
-before any work), superspace quotients refuse n > 5, and the Grassmann
-oracle refuses d*n > 8.  These fail loudly rather than thrash.
+before any work), the line oracle also refuses n > 7, and superspace
+quotients refuse n > 5.  These fail loudly rather than thrash.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ __all__ = [
 ]
 
 COMMUTING_MAX_N = 7
-# Largest truncated piece A_d the commuting oracle will span, in monomials.
-# It admits every (n, k) with n <= 6, including (6,6) at 4,332, and n = 7
+# Largest truncated piece A_d the line and d-plane oracles will span, in
+# monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
 # up to k = 5 (8,135; about 20 s and 180 MB on a 2-vCPU Xeon VM); it
-# refuses (7,6) at 24,017 and (7,7) at 60,691.
+# refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
+# (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
 SUPER_QUOTIENT_MAX_N = 5
-GRASSMANN_MAX_VARS = 8
 
 Poly = dict  # exponent tuple -> int coefficient
 
@@ -116,46 +117,59 @@ def complete_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
     return out
 
 
-def _ideal_step(
-    prev: EchelonBasis | None, generators: list[Poly], nvars: int, d: int, bound: int
-) -> EchelonBasis:
-    """Degree-d piece of a homogeneous ideal of Q[x]/<x_i^bound>.
+def _generators(d: int, n: int, k: int, deg: int) -> list[Poly]:
+    """Degree-deg generators of the spanning d-plane ideal in d*n variables:
+    e_deg of all variables when deg > d*n - k, and h_deg of each batch of d
+    when k - d < deg <= k.  At d = 1 the h_k are the x_i^k themselves."""
+    nvars = d * n
+    gens = [elementary_sym(deg, tuple(range(nvars)), nvars)] if nvars - k < deg <= nvars else []
+    if k - d < deg <= k:
+        gens += [complete_sym(deg, tuple(range(i * d, (i + 1) * d)), nvars) for i in range(n)]
+    return gens
 
-    prev is the degree-(d-1) piece (None at d = 0) and generators are the
-    ideal's generators of degree d.  The piece is spanned by x_j * (rows of
-    prev) and the generators, with monomials reaching the bound dropped.
+
+def _span_piece(generators, multiples) -> EchelonBasis:
+    """One ideal piece: the span of its generators and of degree-one
+    multiples of lower pieces.
+
+    multiples yields (rows, times) pairs: the primitive rows of a lower
+    piece, and one degree-one multiplier as a dict mapping each monomial of
+    that piece to its (product, sign), absent where the product vanishes.
+    A monomial multiplier sends distinct monomials to distinct products,
+    so a row's image needs no accumulation.
     """
     basis = EchelonBasis()
     for gen in generators:
-        vec = {m: c for m, c in gen.items() if max(m, default=0) < bound}
-        if vec:
-            basis.insert(vec)
-    if prev is None or not prev.rank:
-        return basis
-    # interned degree-d monomials, so products share their key objects
-    upper = {m: m for m in _bounded_monomials(nvars, d, bound)}
-    lower = _bounded_monomials(nvars, d - 1, bound)
-    rows = prev.primitive_rows()
-    for j in range(nvars):
-        times_xj = {}
-        for m in lower:
-            mm = upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :])
-            if mm is not None:
-                times_xj[m] = mm
+        if gen:
+            basis.insert(gen)
+    for rows, times in multiples:
         for _, row in rows:
-            vec = {times_xj[m]: c for m, c in row.items() if m in times_xj}
+            vec = {t[0]: t[1] * c for m, c in row.items() if (t := times.get(m))}
             if vec:
                 basis.insert(vec)
     return basis
 
 
 @cache
-def _ideal_basis(n: int, k: int, d: int) -> EchelonBasis:
-    """Degree-d piece of the ideal generated by e_n, ..., e_{n-k+1} in
-    A = Q[x]/<x_i^k>, the image of the spanning-line ideal there."""
-    prev = _ideal_basis(n, k, d - 1) if d else None
-    gens = [elementary_sym(d, tuple(range(n)), n)] if n - k < d <= n else []
-    return _ideal_step(prev, gens, n, d, k)
+def _ideal_basis(d: int, n: int, k: int, deg: int) -> EchelonBasis:
+    """Degree-deg piece of the spanning d-plane ideal in A = Q[x]/<x_i^k>
+    over d*n variables: its generators (:func:`_generators`) plus x_j times
+    the piece one degree below.  Every x_i^k lies in the ideal, since
+    x_d^k = sum_{j<d} (-1)^j e_j(x_1..x_{d-1}) h_{k-j}(x_1..x_d) within a
+    batch, so the quotient by the ideal is the quotient of A by this image.
+    """
+    nvars = d * n
+    gens = [{m: c for m, c in g.items() if max(m) < k} for g in _generators(d, n, k, deg)]
+    rows = _ideal_basis(d, n, k, deg - 1).primitive_rows() if deg else []
+    if not rows:
+        return _span_piece(gens, ())
+    upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
+    lower = _bounded_monomials(nvars, deg - 1, k)
+
+    def times_x(j):
+        return {m: t for m in lower if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))}
+
+    return _span_piece(gens, ((rows, times_x(j)) for j in range(nvars)))
 
 
 @cache
@@ -183,6 +197,19 @@ def _count_fixed_monomials(cycles: tuple[int, ...], k: int, d: int) -> int:
     return counts[d] if d < len(counts) else 0
 
 
+def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
+    """Refuse a span whose largest truncated piece A_d over nvars variables
+    (exponents below k, d up to top_degree, or all d when None) has more
+    than COMMUTING_MAX_PIECE monomials; counted, not built."""
+    sizes = _fixed_monomial_counts((1,) * nvars, k)
+    largest = max(sizes[: None if top_degree is None else top_degree + 1], default=0)
+    if largest > COMMUTING_MAX_PIECE:
+        raise ScaleGuardError(
+            f"oracle limited to pieces of at most {COMMUTING_MAX_PIECE} monomials,"
+            f" got {largest} over {nvars} variables with exponents below {k}"
+        )
+
+
 def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
     """Validate (n, k) and refuse work beyond the guards before any is done.
 
@@ -192,13 +219,7 @@ def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     _guard(n <= COMMUTING_MAX_N, f"commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
-    sizes = _fixed_monomial_counts((1,) * n, k)
-    largest = max(sizes[: None if top_degree is None else top_degree + 1], default=0)
-    _guard(
-        largest <= COMMUTING_MAX_PIECE,
-        f"commuting oracle limited to pieces of at most {COMMUTING_MAX_PIECE} monomials,"
-        f" got {largest} for n={n}, k={k}",
-    )
+    _check_pieces(n, k, top_degree)
 
 
 def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
@@ -207,7 +228,7 @@ def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     _check_commuting(n, k, d)
-    basis = _ideal_basis(n, k, d)
+    basis = _ideal_basis(1, n, k, d)
     return _count_fixed_monomials((1,) * n, k, d) - basis.rank, basis
 
 
@@ -352,16 +373,6 @@ def _invariant_basis(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> l
     return _orbit_sums(_multidegree_basis(n, alpha, beta), group, apply_perm)
 
 
-def _mono_times_vector(mono: SuperMonomial, vec: dict) -> dict:
-    out: dict[SuperMonomial, int] = {}
-    for other, c in vec.items():
-        mm, sign = mono_mul(mono, other)
-        if mm is None:
-            continue
-        out[mm] = out.get(mm, 0) + sign * c
-    return {k: v for k, v in out.items() if v}
-
-
 @cache
 def _super_ideal_basis(
     n: int, alpha: tuple[int, ...], beta: tuple[int, ...]
@@ -371,24 +382,21 @@ def _super_ideal_basis(
     degree-one generator g (an x_j or theta_j of one batch) times the piece
     one step below in g's batch.  Every positive-degree monomial is such a
     g times a monomial one step lower, so these products span the rest."""
-    basis = EchelonBasis()
     md, m = alpha + beta, len(alpha)
     if not any(md):
-        return basis  # the ideal has no constants
-    for row in _invariant_basis(n, alpha, beta):
-        basis.insert(row)
+        return EchelonBasis()  # the ideal has no constants
+    multiples = []
     for i, e in enumerate(md):
         if not e:
             continue
         step = tuple(int(j == i) for j in range(len(md)))
         lower = tuple(a - b for a, b in zip(md, step))
         rows = _super_ideal_basis(n, lower[:m], lower[m:]).primitive_rows()
+        support = {mono for _, row in rows for mono in row}
         for g in _multidegree_basis(n, step[:m], step[m:]):
-            for _, row in rows:
-                vec = _mono_times_vector(g, row)
-                if vec:
-                    basis.insert(vec)
-    return basis
+            times = {mono: t for mono in support if (t := mono_mul(g, mono))[0] is not None}
+            multiples.append((rows, times))
+    return _span_piece(_invariant_basis(n, alpha, beta), multiples)
 
 
 def decompose_super_coinvariants(
@@ -432,8 +440,9 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
 
     The ideal in the d*n variables is generated by the top k elementary
     symmetric polynomials of all variables together with the complete
-    homogeneous h_k, ..., h_{k-d+1} of each batch; invariants under the
-    within-batch symmetric groups are the orbit sums of the standard
+    homogeneous h_k, ..., h_{k-d+1} of each batch, and its pieces are
+    spanned in the truncated ring (:func:`_ideal_basis`).  Invariants under
+    the within-batch symmetric groups are the orbit sums of the standard
     monomials, reduced modulo the ideal, and the symmetric group character
     permutes whole batches.
     """
@@ -442,15 +451,7 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     if not d <= k <= d * n:
         raise ValueError(f"need d <= k <= d*n, got d={d}, n={n}, k={k}")
     nvars = d * n
-    _guard(
-        nvars <= GRASSMANN_MAX_VARS,
-        f"Grassmann oracle limited to d*n <= {GRASSMANN_MAX_VARS}, got {nvars}",
-    )
-    everyone = tuple(range(nvars))
-    gens: list[Poly] = [elementary_sym(j, everyone, nvars) for j in range(nvars, nvars - k, -1)]
-    for i in range(n):
-        batch = tuple(range(i * d, (i + 1) * d))
-        gens += [complete_sym(j, batch, nvars) for j in range(k, k - d, -1)]
+    _check_pieces(nvars, k, None)
 
     # within-batch permutations as permutations of all d*n variables
     group = [
@@ -460,15 +461,11 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
 
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
-    ideal = None
     deg = 0
     while True:
-        # no truncation: a bound of deg + 1 keeps every monomial of degree deg
-        ideal = _ideal_step(
-            ideal, [g for g in gens if sum(next(iter(g))) == deg], nvars, deg, deg + 1
-        )
+        ideal = _ideal_basis(d, n, k, deg)
         pivot_set = set(ideal.pivots())
-        standard = [mm for mm in monomials_of_degree(nvars, deg) if mm not in pivot_set]
+        standard = [mm for mm in _bounded_monomials(nvars, deg, k) if mm not in pivot_set]
         if standard:
             # reduce is linear, so each orbit sum is reduced once
             invariants = EchelonBasis()

@@ -6,6 +6,9 @@
   oracle over the full polynomial ring Q[x], with x_i^k among the ideal
   generators and each degree-d ideal piece spanned by every generator
   times every monomial of the complementary degree.
+- :func:`line_ideal_basis`: the line ideal's pieces in A = Q[x]/<x_i^k>,
+  chained through :func:`_ideal_step`, the step the library used before
+  lines, d-planes and superspace shared one span kernel.
 - :func:`invariant_basis`: the diagonal invariants of a multidegree
   piece, every super-monomial symmetrized over all n! permutations (so
   each orbit is summed once per member) and the sums row-reduced.
@@ -13,9 +16,12 @@
   coinvariant ideal spanned from scratch, as every cofactor monomial times
   every invariant (from :func:`invariant_basis`) of the complementary
   multidegree.
-- :func:`grassmann_quotient`: the Grassmann oracle with every
-  within-batch image of every standard monomial reduced modulo the ideal
-  on its own and the residuals summed in Fractions.
+- :func:`grassmann_ideal`: the d-plane ideal's pieces in the full ring
+  Q[x], spanned by :func:`_ideal_step` with no truncation.
+- :func:`grassmann_quotient`: the Grassmann oracle over
+  :func:`grassmann_ideal`, with every within-batch image of every standard
+  monomial reduced modulo the ideal on its own and the residuals summed in
+  Fractions.
 - :func:`shape_multiplicity`: the pair count with every standard tableau
   of the shape enumerated and its des and maj read off one by one.
 - :func:`schur_decompose`: the character inner product summed term by
@@ -26,16 +32,20 @@
   :class:`FractionEchelonBasis`.
 
 The first two share no code with the library beyond monomial enumeration,
-the symmetric polynomials and cycle-type representatives.  The next two
-share the library's echelon basis, super-monomial enumeration, subscript
-action and monomial products; they differ from the library's orbit sums
-and one-step-down recursion in how invariants and the ideal piece are
-spanned.  The Grassmann reference shares the ideal step, the trace
-readout and the Schur readout; it differs in how the invariants of the
-quotient are formed.  The next two share the tableau enumeration, the
-partition counts and the characters, and differ in how they are combined.  The last shares the seed, the derivatives and
-the polynomial product; it differs in how polarizations are applied, in
-the coefficient type and in the linear algebra.
+the symmetric polynomials and cycle-type representatives.  The line
+ideal shares the echelon basis and the generators, and keeps its own
+step.  The next two share the library's echelon basis, super-monomial
+enumeration, subscript action and monomial products; they differ from
+the library's orbit sums and one-step-down recursion in how invariants
+and the ideal piece are spanned, and multiply through their own
+:func:`_mono_times_vector`.  The Grassmann references keep their own
+untruncated step and share the trace readout and the Schur readout; they
+differ in the ring the ideal is spanned in and in how the invariants of
+the quotient are formed.  The next two share the tableau enumeration,
+the partition counts and the characters, and differ in how they are
+combined.  The last shares the seed, the derivatives and the polynomial
+product; it differs in how polarizations are applied, in the coefficient
+type and in the linear algebra.
 """
 
 from __future__ import annotations
@@ -59,8 +69,7 @@ from spanrep.linalg import EchelonBasis, stable_trace
 from spanrep.oracle import (
     GradedDecomposition,
     _apply_varperm,
-    _ideal_step,
-    _mono_times_vector,
+    _bounded_monomials,
     _multidegree_basis,
     complete_sym,
     elementary_sym,
@@ -72,6 +81,7 @@ from spanrep.superspace import (
     apply_perm,
     d_theta,
     d_x,
+    mono_mul,
     superspace_vandermonde,
 )
 from spanrep.symfun import ClassFunction, SchurExpansion, irr_character, schur_from_traces
@@ -176,6 +186,58 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     return fixed - int(ideal_trace)
 
 
+def _ideal_step(
+    prev: EchelonBasis | None, generators: list[dict], nvars: int, d: int, bound: int
+) -> EchelonBasis:
+    """Degree-d piece of a homogeneous ideal of Q[x]/<x_i^bound>.
+
+    prev is the degree-(d-1) piece (None at d = 0) and generators are the
+    ideal's generators of degree d.  The piece is spanned by x_j * (rows of
+    prev) and the generators, with monomials reaching the bound dropped.
+    """
+    basis = EchelonBasis()
+    for gen in generators:
+        vec = {m: c for m, c in gen.items() if max(m, default=0) < bound}
+        if vec:
+            basis.insert(vec)
+    if prev is None or not prev.rank:
+        return basis
+    # interned degree-d monomials, so products share their key objects
+    upper = {m: m for m in _bounded_monomials(nvars, d, bound)}
+    lower = _bounded_monomials(nvars, d - 1, bound)
+    rows = prev.primitive_rows()
+    for j in range(nvars):
+        times_xj = {}
+        for m in lower:
+            mm = upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :])
+            if mm is not None:
+                times_xj[m] = mm
+        for _, row in rows:
+            vec = {times_xj[m]: c for m, c in row.items() if m in times_xj}
+            if vec:
+                basis.insert(vec)
+    return basis
+
+
+@cache
+def line_ideal_basis(n: int, k: int, d: int) -> EchelonBasis:
+    """Degree-d piece of the ideal generated by e_n, ..., e_{n-k+1} in
+    A = Q[x]/<x_i^k>, chained through :func:`_ideal_step`."""
+    prev = line_ideal_basis(n, k, d - 1) if d else None
+    gens = [elementary_sym(d, tuple(range(n)), n)] if n - k < d <= n else []
+    return _ideal_step(prev, gens, n, d, k)
+
+
+def _mono_times_vector(mono: SuperMonomial, vec: dict) -> dict:
+    out: dict[SuperMonomial, int] = {}
+    for other, c in vec.items():
+        mm, sign = mono_mul(mono, other)
+        if mm is None:
+            continue
+        out[mm] = out.get(mm, 0) + sign * c
+    return {k: v for k, v in out.items() if v}
+
+
 @cache
 def invariant_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
     """Echelon basis of the diagonal invariants of one multidegree piece,
@@ -223,23 +285,37 @@ def batch_group(d: int, n: int) -> list[tuple]:
     return group
 
 
-def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
-    """The batch-symmetric quotient presentation of spanning d-plane
-    configurations, its invariants formed image by image: for each
-    standard monomial, the residual of every within-batch image, summed."""
+def _grassmann_generators(d: int, n: int, k: int) -> list[dict]:
     nvars = d * n
     everyone = tuple(range(nvars))
     gens = [elementary_sym(j, everyone, nvars) for j in range(nvars, nvars - k, -1)]
     for i in range(n):
         batch = tuple(range(i * d, (i + 1) * d))
         gens += [complete_sym(j, batch, nvars) for j in range(k, k - d, -1)]
+    return gens
+
+
+@cache
+def grassmann_ideal(d: int, n: int, k: int, deg: int) -> EchelonBasis:
+    """Degree-deg piece of the d-plane ideal in the full ring Q[x] over d*n
+    variables: :func:`_ideal_step` with no truncation (a bound of deg + 1
+    keeps every monomial of degree deg)."""
+    prev = grassmann_ideal(d, n, k, deg - 1) if deg else None
+    gens = [g for g in _grassmann_generators(d, n, k) if sum(next(iter(g))) == deg]
+    return _ideal_step(prev, gens, d * n, deg, deg + 1)
+
+
+def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
+    """The batch-symmetric quotient presentation of spanning d-plane
+    configurations in the full ring, its invariants formed image by image:
+    for each standard monomial, the residual of every within-batch image,
+    summed."""
+    nvars = d * n
     group = batch_group(d, n)
     by_degree, dims = {}, {}
-    ideal = None
     deg = 0
     while True:
-        degree_gens = [g for g in gens if sum(next(iter(g))) == deg]
-        ideal = _ideal_step(ideal, degree_gens, nvars, deg, deg + 1)
+        ideal = grassmann_ideal(d, n, k, deg)
         pivot_set = set(ideal.pivots())
         standard = [mm for mm in monomials_of_degree(nvars, deg) if mm not in pivot_set]
         invariants = EchelonBasis()

@@ -40,6 +40,18 @@ def test_frobenius_point_case(capsys):
     assert rows == [{"degree": 0, "shape": [4], "coeff": [[[0, 0, 0], "1"]]}]
 
 
+def test_frobenius_max_degree_cuts_every_source(capsys):
+    code, out, _ = run_cli(capsys, "frobenius", "3", "2", "--max-degree", "1", "--source", "formula")
+    assert code == 0
+    rows = json_out(out)["payload"]["sources"]["formula"]
+    assert {row["degree"] for row in rows} == {0, 1}
+    code, out, _ = run_cli(capsys, "frobenius", "3", "2", "--max-degree", "1", "--source", "both")
+    assert code == 0
+    payload = json_out(out)["payload"]
+    assert payload["diff"] == []
+    assert payload["sources"]["formula"] == payload["sources"]["oracle"] == rows
+
+
 def test_frobenius_usage_error(capsys):
     code, _, err = run_cli(capsys, "frobenius", "2", "3")
     assert code == 2
@@ -84,6 +96,7 @@ def test_frobenius_oracle_guard_by_piece_size(capsys):
         ["explore", "--problem", "rw-twist", "--n", "-3"],
         ["superspace", "3", "3", "--check-identity"],
         ["superspace", "2", "3", "--closure"],
+        ["frobenius", "3", "2", "--max-degree", "-1", "--source", "formula"],
         ["frobenius", "3", "2", "--max-degree", "-1", "--source", "oracle"],
         ["frobenius", "3", "2", "--max-degree", "-1", "--source", "both"],
         ["frobenius", "9", "10", "--source", "oracle"],

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
@@ -13,6 +14,7 @@ from spanrep.oracle import (
     _apply_varperm,
     _check_commuting,
     _count_fixed_monomials,
+    _ideal_basis,
     _invariant_basis,
     _multidegree_basis,
     _orbit_sums,
@@ -410,7 +412,7 @@ def test_grassmann_reduces_to_line_oracle():
 
 
 def test_grassmann_point_case():
-    for d, n in [(2, 2), (2, 3), (3, 2)]:
+    for d, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         g = grassmann_quotient(d, n, d)
         assert g.dims == {0: 1}
         assert g.by_degree == {0: exp_of(n, ((n,), 1))}
@@ -427,10 +429,12 @@ def test_grassmann_golden_fixture_2_2_3():
     }
 
 
-@pytest.mark.parametrize(
-    "d, n, k_max",
-    [(1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 1, 2), (2, 2, 4), (2, 3, 6), (3, 2, 4)],
-)
+GRASSMANN_REFERENCE_GRID = [
+    (1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 1, 2), (2, 2, 4), (2, 3, 6), (3, 2, 4),
+]
+
+
+@pytest.mark.parametrize("d, n, k_max", GRASSMANN_REFERENCE_GRID)
 def test_grassmann_orbit_sums_match_image_by_image_reference(d, n, k_max):
     for k in range(d, k_max + 1):
         got = grassmann_quotient(d, n, k)
@@ -439,11 +443,32 @@ def test_grassmann_orbit_sums_match_image_by_image_reference(d, n, k_max):
         assert got.dims == expected.dims, (d, n, k)
 
 
+@pytest.mark.parametrize("d, n, k_max", GRASSMANN_REFERENCE_GRID)
+def test_truncation_monomials_lie_in_the_d_plane_ideal(d, n, k_max):
+    # Spanning in Q[x]/<x_i^k> is valid only because every x_i^k is already
+    # in the ideal; check it against the untruncated full-ring piece.
+    for k in range(d, k_max + 1):
+        ideal = reference.grassmann_ideal(d, n, k, k)
+        for i in range(d * n):
+            power = {tuple(k if j == i else 0 for j in range(d * n)): 1}
+            assert ideal.contains(power), (d, n, k, i)
+
+
+def test_line_ideal_pieces_match_step_by_step_reference():
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for deg in range(n * (k - 1) + 2):
+                got = _ideal_basis(1, n, k, deg).primitive_rows()
+                assert got == reference.line_ideal_basis(n, k, deg).primitive_rows(), (n, k, deg)
+
+
 def test_grassmann_validation_and_guard():
     with pytest.raises(ValueError):
         grassmann_quotient(2, 2, 1)  # k < d
+    start = time.perf_counter()
     with pytest.raises(ScaleGuardError):
-        grassmann_quotient(3, 3, 3)  # 9 variables
+        grassmann_quotient(2, 4, 5)  # A_16 over 8 variables has 38,165 monomials
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hilbert_series_helpers():
