@@ -1,8 +1,8 @@
 """Content-addressed result cache.
 
 Entries are envelopes keyed by a hash of (command, parameters, schema
-version); files are written atomically (temp file in the same directory,
-then rename).  A corrupt entry is reported, never trusted: that includes
+version, payload revision); files are written atomically (temp file in
+the same directory, then rename).  A corrupt entry is reported, never trusted: that includes
 an entry whose own command and parameters do not hash to its key.
 """
 
@@ -19,11 +19,20 @@ from .serialize import SCHEMA_VERSION, envelope_bytes, envelope_from_bytes
 __all__ = ["cache_get", "cache_key", "cache_put", "write_atomic"]
 
 ENV_CACHE_DIR = "SPANREP_CACHE_DIR"
+# Raised when a command's payload changes for the same parameters, so that
+# entries written before the change miss instead of being served.
+# 2: frobenius --max-degree cuts the formula rows too.
+_PAYLOAD_REVISION = 2
 
 
 def cache_key(command: str, parameters: dict) -> str:
     canonical = json.dumps(
-        {"command": command, "parameters": parameters, "schema_version": SCHEMA_VERSION},
+        {
+            "command": command,
+            "parameters": parameters,
+            "schema_version": SCHEMA_VERSION,
+            "payload_revision": _PAYLOAD_REVISION,
+        },
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -17,9 +17,10 @@ the trace on the ideal subspace, the latter read off pivot coordinates
 of the reduced echelon basis (valid because the ideals are stable under
 the subscript action; tests exercise that stability directly).
 
-Scale guards: the line and d-plane oracles refuse any request whose
-largest piece A_d has more than COMMUTING_MAX_PIECE monomials (counted
-before any work), the line oracle also refuses n > 7, and superspace
+Scale guards: the line and d-plane oracles refuse n > 7 (lines, or
+batches of d: both read characters of S_n) and any request whose largest
+piece A_d has more than COMMUTING_MAX_PIECE monomials (counted before any
+work, the count stopping once it passes that budget), and superspace
 quotients refuse n > 5.  These fail loudly rather than thrash.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
 from .combinat import GradedPoly, Partition, perm_of_type
 from .errors import ScaleGuardError
@@ -90,8 +91,6 @@ def elementary_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return {(0,) * nvars: 1}
     out: Poly = {}
     for subset in combinations(indices, d):
         exps = [0] * nvars
@@ -105,8 +104,6 @@ def complete_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
     """Complete homogeneous symmetric polynomial h_d in the given variables."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return {(0,) * nvars: 1}
     out: Poly = {}
     for multiset in combinations_with_replacement(indices, d):
         exps = [0] * nvars
@@ -150,17 +147,17 @@ def _span_piece(generators, multiples) -> EchelonBasis:
     return basis
 
 
-@cache
-def _ideal_basis(d: int, n: int, k: int, deg: int) -> EchelonBasis:
+def _ideal_piece(d: int, n: int, k: int, deg: int, below: EchelonBasis | None) -> EchelonBasis:
     """Degree-deg piece of the spanning d-plane ideal in A = Q[x]/<x_i^k>
     over d*n variables: its generators (:func:`_generators`) plus x_j times
-    the piece one degree below.  Every x_i^k lies in the ideal, since
-    x_d^k = sum_{j<d} (-1)^j e_j(x_1..x_{d-1}) h_{k-j}(x_1..x_d) within a
-    batch, so the quotient by the ideal is the quotient of A by this image.
+    below, the piece one degree lower (None at degree 0).  Every x_i^k lies
+    in the ideal, since x_d^k = sum_{j<d} (-1)^j e_j(x_1..x_{d-1})
+    h_{k-j}(x_1..x_d) within a batch, so the quotient by the ideal is the
+    quotient of A by this image.
     """
     nvars = d * n
     gens = [{m: c for m, c in g.items() if max(m) < k} for g in _generators(d, n, k, deg)]
-    rows = _ideal_basis(d, n, k, deg - 1).primitive_rows() if deg else []
+    rows = below.primitive_rows() if below is not None else []
     if not rows:
         return _span_piece(gens, ())
     upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
@@ -170,6 +167,12 @@ def _ideal_basis(d: int, n: int, k: int, deg: int) -> EchelonBasis:
         return {m: t for m in lower if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))}
 
     return _span_piece(gens, ((rows, times_x(j)) for j in range(nvars)))
+
+
+@cache
+def _ideal_basis(d: int, n: int, k: int, deg: int) -> EchelonBasis:
+    """:func:`_ideal_piece` memoized, for the line oracle's many reads."""
+    return _ideal_piece(d, n, k, deg, _ideal_basis(d, n, k, deg - 1) if deg else None)
 
 
 @cache
@@ -197,17 +200,31 @@ def _count_fixed_monomials(cycles: tuple[int, ...], k: int, d: int) -> int:
     return counts[d] if d < len(counts) else 0
 
 
+@cache
 def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
     """Refuse a span whose largest truncated piece A_d over nvars variables
     (exponents below k, d up to top_degree, or all d when None) has more
-    than COMMUTING_MAX_PIECE monomials; counted, not built."""
-    sizes = _fixed_monomial_counts((1,) * nvars, k)
-    largest = max(sizes[: None if top_degree is None else top_degree + 1], default=0)
-    if largest > COMMUTING_MAX_PIECE:
-        raise ScaleGuardError(
-            f"oracle limited to pieces of at most {COMMUTING_MAX_PIECE} monomials,"
-            f" got {largest} over {nvars} variables with exponents below {k}"
-        )
+    than COMMUTING_MAX_PIECE monomials; counted, not built.  Each variable
+    multiplies the sizes by 1 + q + ... + q^(k-1), which lowers none, so
+    counting stops once one passes the budget or a variable changes nothing.
+    """
+    cut = None if top_degree is None else top_degree + 1
+    largest = k if cut is None and nvars >= 2 else 1  # two variables: k in degree k - 1
+    sizes = [1]
+    for _ in range(nvars if largest <= COMMUTING_MAX_PIECE else 0):
+        prefix = [0, *accumulate(sizes)]
+        grown = [
+            prefix[min(i + 1, len(sizes))] - prefix[max(i - k + 1, 0)]
+            for i in range(len(sizes) + k - 1)
+        ][:cut]
+        if grown == sizes or (largest := max(grown)) > COMMUTING_MAX_PIECE:
+            break
+        sizes = grown
+    _guard(
+        largest <= COMMUTING_MAX_PIECE,
+        f"oracle limited to pieces of at most {COMMUTING_MAX_PIECE} monomials,"
+        f" got at least {largest} over {nvars} variables with exponents below {k}",
+    )
 
 
 def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
@@ -441,16 +458,15 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     The ideal in the d*n variables is generated by the top k elementary
     symmetric polynomials of all variables together with the complete
     homogeneous h_k, ..., h_{k-d+1} of each batch, and its pieces are
-    spanned in the truncated ring (:func:`_ideal_basis`).  Invariants under
+    spanned in the truncated ring (:func:`_ideal_piece`).  Invariants under
     the within-batch symmetric groups are the orbit sums of the standard
     monomials, reduced modulo the ideal, and the symmetric group character
     permutes whole batches.
     """
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be positive")
-    if not d <= k <= d * n:
-        raise ValueError(f"need d <= k <= d*n, got d={d}, n={n}, k={k}")
+    if not 1 <= d <= k <= d * n:
+        raise ValueError(f"need 1 <= d <= k <= d*n, got d={d}, n={n}, k={k}")
     nvars = d * n
+    _guard(n <= COMMUTING_MAX_N, f"d-plane oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
     _check_pieces(nvars, k, None)
 
     # within-batch permutations as permutations of all d*n variables
@@ -461,9 +477,10 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
 
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
+    ideal = None
     deg = 0
     while True:
-        ideal = _ideal_basis(d, n, k, deg)
+        ideal = _ideal_piece(d, n, k, deg, ideal)
         pivot_set = set(ideal.pivots())
         standard = [mm for mm in _bounded_monomials(nvars, deg, k) if mm not in pivot_set]
         if standard:

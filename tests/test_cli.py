@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -5,7 +6,8 @@ import pytest
 
 from spanrep.cache import cache_get, cache_key, cache_put
 from spanrep.cli import main
-from spanrep.serialize import envelope_bytes, make_envelope
+from spanrep.formula import grfrob_tableaux
+from spanrep.serialize import SCHEMA_VERSION, degree_table_to_json, envelope_bytes, make_envelope
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +177,29 @@ def test_cache_entry_for_other_parameters_is_corrupt(capsys, tmp_path):
     assert code == 0
     assert "corrupt" in err
     assert json_out(out)["payload"]["n"] == 3
+
+
+def test_cache_entry_from_before_the_formula_cut_is_not_served(capsys, tmp_path):
+    # Entries keyed without a payload revision were written when --max-degree
+    # left the formula rows uncut; they must miss, not be served.
+    params = {"n": 3, "k": 2, "source": "formula", "max_degree": 1}
+    old_key = hashlib.sha256(
+        json.dumps(
+            {"command": "frobenius", "parameters": params, "schema_version": SCHEMA_VERSION},
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode()
+    ).hexdigest()
+    uncut = degree_table_to_json(grfrob_tableaux(3, 2).by_degree)
+    payload = {"kind": "frobenius_table", "n": 3, "k": 2, "max_degree": 1,
+               "sources": {"formula": uncut}, "diff": []}
+    cache_put(tmp_path, old_key, make_envelope("frobenius", params, payload, "formula", "0.1.0"))
+    code, out, _ = run_cli(
+        capsys, "frobenius", "3", "2", "--max-degree", "1", "--source", "formula",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert {row["degree"] for row in json_out(out)["payload"]["sources"]["formula"]} == {0, 1}
 
 
 def test_cache_entry_without_printed_fields_is_corrupt(capsys, tmp_path):

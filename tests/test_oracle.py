@@ -11,8 +11,10 @@ from spanrep.errors import ScaleGuardError
 from spanrep.formula import grfrob_tableaux
 from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
+    COMMUTING_MAX_PIECE,
     _apply_varperm,
     _check_commuting,
+    _check_pieces,
     _count_fixed_monomials,
     _ideal_basis,
     _invariant_basis,
@@ -465,10 +467,41 @@ def test_line_ideal_pieces_match_step_by_step_reference():
 def test_grassmann_validation_and_guard():
     with pytest.raises(ValueError):
         grassmann_quotient(2, 2, 1)  # k < d
-    start = time.perf_counter()
-    with pytest.raises(ScaleGuardError):
-        grassmann_quotient(2, 4, 5)  # A_16 over 8 variables has 38,165 monomials
-    assert time.perf_counter() - start < 1.0
+    for d, n, k in [
+        (2, 4, 5),  # A_16 over 8 variables has 38,165 monomials
+        (2, 200, 200),  # n > 7 batches
+        (1, 200, 1),  # one-monomial pieces, but characters of S_200
+        (300, 7, 300),  # 2,100 variables: the count stops at three
+        (10**9, 1, 10**9),  # two variables already give k in degree k - 1
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ScaleGuardError):
+            grassmann_quotient(d, n, k)
+        assert time.perf_counter() - start < 1.0, (d, n, k)
+
+
+def test_piece_guard_matches_exact_counts():
+    # the guard stops counting early; it must refuse exactly the requests
+    # whose largest piece, counted in full, is over the budget
+    for nvars in range(1, 17):
+        for k in range(1, 7):
+            full = [_count_fixed_monomials((1,) * nvars, k, d) for d in range(nvars * (k - 1) + 1)]
+            for top in [None, *range(nvars * (k - 1) + 2)]:
+                over = max(full[: None if top is None else top + 1]) > COMMUTING_MAX_PIECE
+                try:
+                    _check_pieces(nvars, k, top)
+                    refused = False
+                except ScaleGuardError:
+                    refused = True
+                assert refused == over, (nvars, k, top)
+
+
+def test_grassmann_keeps_no_ideal_pieces():
+    # lines memoize their pieces across calls; the d-plane chain is dropped
+    before = _ideal_basis.cache_info().currsize
+    grassmann_quotient(2, 2, 3)
+    grassmann_quotient(3, 2, 4)
+    assert _ideal_basis.cache_info().currsize == before
 
 
 def test_hilbert_series_helpers():
