@@ -40,8 +40,9 @@ class EchelonBasis:
     def __init__(self):
         self._rows: dict = {}  # pivot key -> primitive int row, positive pivot
         # non-pivot column -> pivots of the rows that have had an entry
-        # there, so back-substitution visits only rows it may change
-        self._holders: dict = {}
+        # there, so back-substitution visits only rows it may change; None
+        # once released, rebuilt from the rows by the next insert
+        self._holders: dict | None = {}
 
     @property
     def rank(self) -> int:
@@ -64,6 +65,11 @@ class EchelonBasis:
             a = row[p]
             out.append((p, {k: Fraction(c, a) for k, c in row.items()}))
         return out
+
+    def release_index(self) -> None:
+        """Drop the back-substitution index, which only insert reads, to
+        save memory on a finished basis.  A later insert rebuilds it."""
+        self._holders = None
 
     def _eliminate(self, v: dict) -> int:
         """Clear every pivot coordinate of the int vector v in place.
@@ -114,6 +120,12 @@ class EchelonBasis:
             v = {k: c // g for k, c in v.items()}
         a = v[p]
         holders = self._holders
+        if holders is None:
+            holders = self._holders = {}
+            for q, row in self._rows.items():
+                for k in row:
+                    if k != q:
+                        holders.setdefault(k, []).append(q)
         for k in v:
             if k != p:
                 holders.setdefault(k, []).append(p)

@@ -8,7 +8,11 @@ A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
 k.  Each ideal piece, these and the superspace coinvariant ones alike, is
 spanned by one kernel (:func:`_span_piece`) from its generators and the
 degree-one multiples of the pieces below, and row-reduced exactly with
-integer rows -- no Groebner machinery, and nothing from the tableau formula.
+integer rows.  For line and d-plane pieces a chain criterion read off the
+pivot sets of the two pieces below skips the products that the kept ones
+already span (:func:`_ideal_piece`).  That is generic linear algebra on the
+ideal's own generators: nothing from the tableau formula, and no known
+Groebner basis of these ideals.
 Both invariant spaces, the diagonal ones and the Grassmann oracle's
 within-batch ones, are signed orbit sums of monomials, one per orbit
 (:func:`_orbit_sums`); disjoint supports make them independent as they are.
@@ -52,9 +56,11 @@ __all__ = [
 COMMUTING_MAX_N = 7
 # Largest truncated piece A_d the line and d-plane oracles will span, in
 # monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
-# up to k = 5 (8,135; about 20 s and 180 MB on a 2-vCPU Xeon VM); it
-# refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
-# (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
+# up to k = 5 (8,135; `decompose_coinvariants(7, 5)` takes about 5 s and
+# 100 MB max RSS on a 2-vCPU Xeon VM, 17 s and 116 MB without the chain
+# criterion of _ideal_piece); it refuses (7,6) at 24,017 and (7,7) at
+# 60,691.  For d-planes it admits (2,4,4) at 8,092 and refuses (2,4,5) at
+# 38,165.
 COMMUTING_MAX_PIECE = 10_000
 SUPER_QUOTIENT_MAX_N = 5
 
@@ -127,11 +133,12 @@ def _generators(d: int, n: int, k: int, deg: int) -> list[Poly]:
 
 def _span_piece(generators, multiples) -> EchelonBasis:
     """One ideal piece: the span of its generators and of degree-one
-    multiples of lower pieces.
+    multiples of lower pieces.  The finished basis keeps no insertion index.
 
-    multiples yields (rows, times) pairs: the primitive rows of a lower
-    piece, and one degree-one multiplier as a dict mapping each monomial of
-    that piece to its (product, sign), absent where the product vanishes.
+    multiples yields (rows, times) pairs: primitive rows of a lower piece
+    (all or some of them), and one degree-one multiplier as a dict mapping
+    each monomial of that piece to its (product, sign), absent where the
+    product vanishes.
     A monomial multiplier sends distinct monomials to distinct products,
     so a row's image needs no accumulation.
     """
@@ -144,16 +151,35 @@ def _span_piece(generators, multiples) -> EchelonBasis:
             vec = {t[0]: t[1] * c for m, c in row.items() if (t := times.get(m))}
             if vec:
                 basis.insert(vec)
+    basis.release_index()
     return basis
 
 
-def _ideal_piece(d: int, n: int, k: int, deg: int, below: EchelonBasis | None) -> EchelonBasis:
+def _ideal_piece(
+    d: int, n: int, k: int, deg: int, below: EchelonBasis | None, two_below: EchelonBasis | None
+) -> EchelonBasis:
     """Degree-deg piece of the spanning d-plane ideal in A = Q[x]/<x_i^k>
     over d*n variables: its generators (:func:`_generators`) plus x_j times
-    below, the piece one degree lower (None at degree 0).  Every x_i^k lies
-    in the ideal, since x_d^k = sum_{j<d} (-1)^j e_j(x_1..x_{d-1})
+    the rows of below, the piece one degree lower (None at degree 0).  Every
+    x_i^k lies in the ideal, since x_d^k = sum_{j<d} (-1)^j e_j(x_1..x_{d-1})
     h_{k-j}(x_1..x_d) within a batch, so the quotient by the ideal is the
     quotient of A by this image.
+
+    A product is skipped when the pivots of two_below, the piece two
+    degrees down, show it to be redundant (a chain criterion).  For the row
+    of below with pivot p let par(p) be the i with p_i > 0 and p/x_i a
+    pivot of two_below.  x_j * row_p is kept when par(p) is empty; else,
+    when x_j * p survives in A (p_j < k - 1), only if min par(p) >= j, and
+    when it vanishes, only if par(p) is {j}.  Why: for i in par(p) and
+    q = p/x_i, x_i * row_q is row_p (up to a scalar) plus rows with larger
+    pivots, and x_j * row_q is a combination of rows s of below whose
+    pivots are at least x_j * q.  So x_j * row_p is a combination of
+    products x_j * row_s' and x_i * row_s, whose keys x_j * s' and x_i * s,
+    taken untruncated, exceed x_j * p except for x_i * row_s at
+    s = x_j * q, which comes first when i < j and does not exist when
+    x_j * q vanishes.  By induction over (key descending, j ascending)
+    every skipped product lies in the span of the kept ones, so the piece,
+    and its reduced echelon basis, is the same as with every product.
     """
     nvars = d * n
     gens = [{m: c for m, c in g.items() if max(m) < k} for g in _generators(d, n, k, deg)]
@@ -162,17 +188,31 @@ def _ideal_piece(d: int, n: int, k: int, deg: int, below: EchelonBasis | None) -
         return _span_piece(gens, ())
     upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
     lower = _bounded_monomials(nvars, deg - 1, k)
+    old = set(two_below.pivots()) if two_below is not None else set()
+    parents = [
+        [i for i in range(nvars) if p[i] and p[:i] + (p[i] - 1,) + p[i + 1 :] in old]
+        for p, _ in rows
+    ]
+
+    def kept(j):
+        return [
+            (p, row)
+            for (p, row), par in zip(rows, parents)
+            if not par or (par[0] >= j if p[j] < k - 1 else par == [j])
+        ]
 
     def times_x(j):
         return {m: t for m in lower if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))}
 
-    return _span_piece(gens, ((rows, times_x(j)) for j in range(nvars)))
+    return _span_piece(gens, ((kept(j), times_x(j)) for j in range(nvars)))
 
 
 @cache
 def _ideal_basis(d: int, n: int, k: int, deg: int) -> EchelonBasis:
     """:func:`_ideal_piece` memoized, for the line oracle's many reads."""
-    return _ideal_piece(d, n, k, deg, _ideal_basis(d, n, k, deg - 1) if deg else None)
+    below = _ideal_basis(d, n, k, deg - 1) if deg else None
+    two_below = _ideal_basis(d, n, k, deg - 2) if deg >= 2 else None
+    return _ideal_piece(d, n, k, deg, below, two_below)
 
 
 @cache
@@ -227,11 +267,14 @@ def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
     )
 
 
+@cache
 def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
     """Validate (n, k) and refuse work beyond the guards before any is done.
 
     top_degree is the highest degree piece the request will span (None
-    for all of them).
+    for all of them).  Memoized, since a decomposition's readouts
+    re-check their request once per degree and cycle type; a refusal
+    raises, so it is never cached.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -477,10 +520,10 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
 
     by_degree: dict[int, SchurExpansion] = {}
     dims: dict[int, int] = {}
-    ideal = None
+    below = ideal = None
     deg = 0
     while True:
-        ideal = _ideal_piece(d, n, k, deg, ideal)
+        below, ideal = ideal, _ideal_piece(d, n, k, deg, ideal, below)
         pivot_set = set(ideal.pivots())
         standard = [mm for mm in _bounded_monomials(nvars, deg, k) if mm not in pivot_set]
         if standard:

@@ -40,6 +40,20 @@ def test_integer_core_matches_fraction_reference(system, probe):
     assert_primitive_and_reduced(fast)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(vectors, st.booleans()), max_size=16), vectors)
+def test_insert_after_releasing_the_index_matches_fraction_reference(steps, probe):
+    # a released index is rebuilt from the rows, so later inserts stay exact
+    fast, ref = EchelonBasis(), FractionEchelonBasis()
+    for vec, release in steps:
+        if release:
+            fast.release_index()
+        assert fast.insert(vec) == ref.insert(vec)
+    assert fast.rows() == ref.rows()
+    assert fast.reduce(probe) == ref.reduce(probe)
+    assert_primitive_and_reduced(fast)
+
+
 def _orbit(vec, sigma):
     """vec and its images under the powers of the column permutation sigma."""
     out, img = [], dict(vec)

@@ -17,6 +17,7 @@ from spanrep.oracle import (
     _check_pieces,
     _count_fixed_monomials,
     _ideal_basis,
+    _ideal_piece,
     _invariant_basis,
     _multidegree_basis,
     _orbit_sums,
@@ -187,6 +188,18 @@ def test_oracle_scale_guard():
         quotient_basis(8, 2, 1)
     with pytest.raises(ScaleGuardError):
         decompose_coinvariants(8, 2)
+
+
+def test_public_readouts_keep_their_guards():
+    # the check is memoized for the readouts a decomposition repeats; each
+    # public readout still refuses an over-budget request on its own
+    rho = Partition((1,) * 8)
+    for _ in range(2):  # a refusal is not memoized away
+        for call in (lambda: character_on_quotient(8, 2, 0, rho), lambda: quotient_basis(7, 6, 12)):
+            start = time.perf_counter()
+            with pytest.raises(ScaleGuardError):
+                call()
+            assert time.perf_counter() - start < 1.0
 
 
 def test_piece_sizes_are_counted_exactly():
@@ -457,11 +470,56 @@ def test_truncation_monomials_lie_in_the_d_plane_ideal(d, n, k_max):
 
 
 def test_line_ideal_pieces_match_step_by_step_reference():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for k in range(1, n + 1):
             for deg in range(n * (k - 1) + 2):
                 got = _ideal_basis(1, n, k, deg).primitive_rows()
                 assert got == reference.line_ideal_basis(n, k, deg).primitive_rows(), (n, k, deg)
+
+
+def _piece_chain(d, n, k):
+    """Every piece of the d-plane ideal in A, built by _ideal_piece and not
+    memoized, up to the degree past which A vanishes."""
+    pieces = []
+    for deg in range(d * n * (k - 1) + 2):
+        below = pieces[-1] if pieces else None
+        two_below = pieces[-2] if len(pieces) >= 2 else None
+        pieces.append(_ideal_piece(d, n, k, deg, below, two_below))
+    return pieces
+
+
+@pytest.mark.parametrize(
+    "d, n, k_max", [(d, n, k_max) for d, n, k_max in GRASSMANN_REFERENCE_GRID if d >= 2] + [(2, 4, 3)]
+)
+def test_d_plane_ideal_pieces_match_step_by_step_reference(d, n, k_max):
+    # the pruned products must span what every x_j * row does
+    for k in range(d, k_max + 1):
+        prev = None
+        for deg, piece in enumerate(_piece_chain(d, n, k)):
+            gens = [g for g in reference._grassmann_generators(d, n, k) if sum(next(iter(g))) == deg]
+            prev = reference._ideal_step(prev, gens, d * n, deg, k)
+            assert piece.primitive_rows() == prev.primitive_rows(), (d, n, k, deg)
+
+
+@pytest.mark.parametrize("n, k", [(6, 4), (5, 5)])
+def test_ideal_pieces_insert_little_beyond_their_rank(n, k, monkeypatch):
+    # without the chain criterion (6,4) makes 12,456 products for rank 2,536
+    calls = 0
+    insert = EchelonBasis.insert
+
+    def counted(self, vec):
+        nonlocal calls
+        calls += 1
+        return insert(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "insert", counted)
+    rank = sum(piece.rank for piece in _piece_chain(1, n, k))
+    assert rank <= calls <= 1.05 * rank, (calls, rank)
+
+
+def test_finished_ideal_pieces_keep_no_insertion_index():
+    assert all(piece._holders is None for piece in _piece_chain(2, 2, 3))
+    assert _super_ideal_basis(2, (1,), (1,))._holders is None
 
 
 def test_grassmann_validation_and_guard():
