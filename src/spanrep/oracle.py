@@ -13,6 +13,10 @@ pivot sets of the two pieces below skips the products that the kept ones
 already span (:func:`_ideal_piece`).  That is generic linear algebra on the
 ideal's own generators: nothing from the tableau formula, and no known
 Groebner basis of these ideals.
+A piece stops spanning once its rank is the number of monomials.  A
+superspace piece is full outright when a piece one step below it is,
+since every monomial is, up to sign, a degree-one generator times a
+monomial one step lower; its quotient is then zero, read without traces.
 Both invariant spaces, the diagonal ones and the Grassmann oracle's
 within-batch ones, are signed orbit sums of monomials, one per orbit
 (:func:`_orbit_sums`); disjoint supports make them independent as they are.
@@ -32,7 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
+from itertools import (
+    accumulate,
+    chain,
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 
 from .combinat import GradedPoly, Partition, perm_of_type
 from .errors import ScaleGuardError
@@ -62,6 +73,9 @@ COMMUTING_MAX_N = 7
 # 60,691.  For d-planes it admits (2,4,4) at 8,092 and refuses (2,4,5) at
 # 38,165.
 COMMUTING_MAX_PIECE = 10_000
+# Superspace quotients: at n = 5, `spanrep explore --problem zabrocki-t0
+# --n 5` takes about 19 s and 99 MB max RSS on a 2-vCPU Xeon VM (42 s and
+# 158 MB when full ideal pieces were still spanned and traced).
 SUPER_QUOTIENT_MAX_N = 5
 
 Poly = dict  # exponent tuple -> int coefficient
@@ -131,9 +145,10 @@ def _generators(d: int, n: int, k: int, deg: int) -> list[Poly]:
     return gens
 
 
-def _span_piece(generators, multiples) -> EchelonBasis:
+def _span_piece(generators, multiples, dim: int) -> EchelonBasis:
     """One ideal piece: the span of its generators and of degree-one
-    multiples of lower pieces.  The finished basis keeps no insertion index.
+    multiples of lower pieces, in a space of dim monomials.  The finished
+    basis keeps no insertion index.
 
     multiples yields (rows, times) pairs: primitive rows of a lower piece
     (all or some of them), and one degree-one multiplier as a dict mapping
@@ -141,16 +156,20 @@ def _span_piece(generators, multiples) -> EchelonBasis:
     product vanishes.
     A monomial multiplier sends distinct monomials to distinct products,
     so a row's image needs no accumulation.
+
+    Spanning stops once the rank reaches dim: the piece is then the whole
+    space, whose reduced echelon basis is the unit rows whatever else is
+    inserted, so the rest of multiples is never drawn.
     """
     basis = EchelonBasis()
-    for gen in generators:
-        if gen:
-            basis.insert(gen)
-    for rows, times in multiples:
-        for _, row in rows:
-            vec = {t[0]: t[1] * c for m, c in row.items() if (t := times.get(m))}
-            if vec:
-                basis.insert(vec)
+    products = (
+        {t[0]: t[1] * c for m, c in row.items() if (t := times.get(m))}
+        for rows, times in multiples
+        for _, row in rows
+    )
+    for vec in chain(generators, products):
+        if vec and basis.insert(vec) and basis.rank == dim:
+            break
     basis.release_index()
     return basis
 
@@ -184,9 +203,10 @@ def _ideal_piece(
     nvars = d * n
     gens = [{m: c for m, c in g.items() if max(m) < k} for g in _generators(d, n, k, deg)]
     rows = below.primitive_rows() if below is not None else []
+    monomials = _bounded_monomials(nvars, deg, k)
     if not rows:
-        return _span_piece(gens, ())
-    upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
+        return _span_piece(gens, (), len(monomials))
+    upper = {m: (m, 1) for m in monomials}
     lower = _bounded_monomials(nvars, deg - 1, k)
     old = set(two_below.pivots()) if two_below is not None else set()
     parents = [
@@ -204,7 +224,7 @@ def _ideal_piece(
     def times_x(j):
         return {m: t for m in lower if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))}
 
-    return _span_piece(gens, ((kept(j), times_x(j)) for j in range(nvars)))
+    return _span_piece(gens, ((kept(j), times_x(j)) for j in range(nvars)), len(upper))
 
 
 @cache
@@ -377,6 +397,13 @@ def _multidegree_basis(
     )
 
 
+def _check_multidegree(m: int, p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
+    if len(alpha) != m or len(beta) != p:
+        raise ValueError("multidegree arity must match the batch counts")
+    if any(e < 0 for e in alpha + beta):
+        raise ValueError(f"multidegree entries must be nonnegative, got {alpha}, {beta}")
+
+
 def _signed_fixed_trace(basis: tuple[SuperMonomial, ...], w: tuple[int, ...]) -> int:
     tr = 0
     for mono in basis:
@@ -394,9 +421,8 @@ def decompose_superspace(
     The diagonal subscript action permutes basis super-monomials up to the
     theta reordering sign, so traces are signed fixed-point counts.
     """
+    _check_multidegree(m, p, alpha, beta)
     _guard(n <= COMMUTING_MAX_N, f"superspace pieces limited to n <= {COMMUTING_MAX_N}, got n={n}")
-    if len(alpha) != m or len(beta) != p:
-        raise ValueError("multidegree arity must match the batch counts")
     basis = _multidegree_basis(n, alpha, beta)
     return schur_from_traces(n, lambda rho: _signed_fixed_trace(basis, perm_of_type(rho, n)))
 
@@ -441,22 +467,37 @@ def _super_ideal_basis(
     positive-multidegree diagonal invariants: its invariants plus each
     degree-one generator g (an x_j or theta_j of one batch) times the piece
     one step below in g's batch.  Every positive-degree monomial is such a
-    g times a monomial one step lower, so these products span the rest."""
+    g times a monomial one step lower, so these products span the rest.
+
+    For the same reason the piece is the whole multidegree as soon as one
+    piece below it is: each monomial is then, up to sign, a generator times
+    an ideal element.  Such a piece is built from its unit rows alone, with
+    no invariants and no products.
+    """
     md, m = alpha + beta, len(alpha)
     if not any(md):
         return EchelonBasis()  # the ideal has no constants
-    multiples = []
+    monomials = _multidegree_basis(n, alpha, beta)
+    below = []
     for i, e in enumerate(md):
         if not e:
             continue
         step = tuple(int(j == i) for j in range(len(md)))
         lower = tuple(a - b for a, b in zip(md, step))
-        rows = _super_ideal_basis(n, lower[:m], lower[m:]).primitive_rows()
-        support = {mono for _, row in rows for mono in row}
-        for g in _multidegree_basis(n, step[:m], step[m:]):
-            times = {mono: t for mono in support if (t := mono_mul(g, mono))[0] is not None}
-            multiples.append((rows, times))
-    return _span_piece(_invariant_basis(n, alpha, beta), multiples)
+        piece = _super_ideal_basis(n, lower[:m], lower[m:])
+        if piece.rank == len(_multidegree_basis(n, lower[:m], lower[m:])):
+            return _span_piece([{mono: 1} for mono in monomials], (), len(monomials))
+        below.append((step, piece))
+
+    def multiples():
+        for step, piece in below:
+            rows = piece.primitive_rows()
+            support = {mono for _, row in rows for mono in row}
+            for g in _multidegree_basis(n, step[:m], step[m:]):
+                times = {mono: t for mono in support if (t := mono_mul(g, mono))[0] is not None}
+                yield rows, times
+
+    return _span_piece(_invariant_basis(n, alpha, beta), multiples(), len(monomials))
 
 
 def decompose_super_coinvariants(
@@ -467,15 +508,17 @@ def decompose_super_coinvariants(
 
     The invariants of each multidegree are orbit sums, and the ideal piece
     is built from the pieces one step below it (:func:`_super_ideal_basis`).
+    A piece the ideal fills has the zero quotient, read without traces.
     """
+    _check_multidegree(m, p, alpha, beta)
     _guard(
         n <= SUPER_QUOTIENT_MAX_N,
         f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}",
     )
-    if len(alpha) != m or len(beta) != p:
-        raise ValueError("multidegree arity must match the batch counts")
     basis = _multidegree_basis(n, alpha, beta)
     ideal = _super_ideal_basis(n, alpha, beta)
+    if ideal.rank == len(basis):
+        return SchurExpansion(n)
 
     def trace(rho):
         w = perm_of_type(rho, n)

@@ -16,6 +16,9 @@
   coinvariant ideal spanned from scratch, as every cofactor monomial times
   every invariant (from :func:`invariant_basis`) of the complementary
   multidegree.
+- :func:`super_coinvariants`: the superspace coinvariant quotient read
+  off :func:`super_ideal_basis` by traces for every multidegree, with no
+  shortcut for pieces that the ideal fills.
 - :func:`grassmann_ideal`: the d-plane ideal's pieces in the full ring
   Q[x], spanned by :func:`_ideal_step` with no truncation.
 - :func:`grassmann_quotient`: the Grassmann oracle over
@@ -34,11 +37,12 @@
 The first two share no code with the library beyond monomial enumeration,
 the symmetric polynomials and cycle-type representatives.  The line
 ideal shares the echelon basis and the generators, and keeps its own
-step.  The next two share the library's echelon basis, super-monomial
-enumeration, subscript action and monomial products; they differ from
-the library's orbit sums and one-step-down recursion in how invariants
-and the ideal piece are spanned, and multiply through their own
-:func:`_mono_times_vector`.  The Grassmann references keep their own
+step.  The next three share the library's echelon basis, super-monomial
+enumeration, subscript action and monomial products, and the quotient
+shares the trace and Schur readouts; they differ from the library's orbit
+sums and one-step-down recursion in how invariants and the ideal piece
+are spanned, multiply through their own :func:`_mono_times_vector`, and
+trace every piece, even one the ideal fills.  The Grassmann references keep their own
 untruncated step and share the trace readout and the Schur readout; they
 differ in the ring the ideal is spanned in and in how the invariants of
 the quotient are formed.  The next two share the tableau enumeration,
@@ -82,6 +86,7 @@ from spanrep.superspace import (
     d_theta,
     d_x,
     mono_mul,
+    subscript_coordinate,
     superspace_vandermonde,
 )
 from spanrep.symfun import ClassFunction, SchurExpansion, irr_character, schur_from_traces
@@ -253,6 +258,7 @@ def invariant_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
     return basis
 
 
+@cache
 def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
     """Multidegree (alpha, beta) piece of the ideal generated by the
     positive-multidegree diagonal invariants: cofactor monomial times
@@ -270,6 +276,25 @@ def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
                     if vec:
                         ideal.insert(vec)
     return ideal
+
+
+def super_coinvariants(n: int, alpha: tuple, beta: tuple) -> SchurExpansion:
+    """Schur decomposition of one multidegree piece of the quotient by
+    :func:`super_ideal_basis`, every cycle type traced as the signed fixed
+    monomials minus the trace on the ideal, full ideal pieces included."""
+    monomials = _multidegree_basis(n, alpha, beta)
+    ideal = super_ideal_basis(n, alpha, beta)
+
+    def trace(rho):
+        w = perm_of_type(rho, n)
+        fixed = 0
+        for mono in monomials:
+            img, sign = apply_perm(mono, w)
+            if img == mono:
+                fixed += sign
+        return fixed - stable_trace(ideal, subscript_coordinate(w))
+
+    return schur_from_traces(n, trace)
 
 
 def batch_group(d: int, n: int) -> list[tuple]:

@@ -391,27 +391,83 @@ def _assert_ideal_matches_reference(n, alpha, beta):
     assert got == reference.super_ideal_basis(n, alpha, beta).primitive_rows(), (n, alpha, beta)
 
 
-@pytest.mark.parametrize("m, p", [(1, 1), (2, 0), (0, 2), (2, 1)])
-def test_super_ideal_recursion_matches_cofactor_span(m, p):
+def _super_multidegrees(n, m, p):
     # Total x-degree runs one past n(n-1)/2, the top x-degree of the quotient.
-    for n in range(1, 4):
-        top = n * (n - 1) // 2 + 1
-        for alpha in product(range(top + 1), repeat=m):
-            if sum(alpha) > top:
-                continue
+    top = n * (n - 1) // 2 + 1
+    for alpha in product(range(top + 1), repeat=m):
+        if sum(alpha) <= top:
             for beta in product(range(n + 1), repeat=p):
-                _assert_ideal_matches_reference(n, alpha, beta)
+                yield alpha, beta
+
+
+SUPER_BATCH_SHAPES = [(1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("m, p", SUPER_BATCH_SHAPES)
+def test_super_ideal_recursion_matches_cofactor_span(m, p):
+    for n in range(1, 4):
+        for alpha, beta in _super_multidegrees(n, m, p):
+            _assert_ideal_matches_reference(n, alpha, beta)
 
 
 def test_super_ideal_recursion_matches_cofactor_span_n4():
-    for a in range(5):
-        for b in range(3):
+    # the whole range of `explore --problem zabrocki-t0 --n 4`
+    for a in range(7):
+        for b in range(5):
             _assert_ideal_matches_reference(4, (a,), (b,))
+
+
+@pytest.mark.parametrize("m, p", SUPER_BATCH_SHAPES)
+def test_super_coinvariants_match_traced_reference_quotient(m, p):
+    # pieces the ideal fills skip the trace readout; the reference traces
+    # every piece, so the empty expansions are compared too
+    empty = 0
+    for n in range(1, 4):
+        for alpha, beta in _super_multidegrees(n, m, p):
+            got = decompose_super_coinvariants(n, m, p, alpha, beta)
+            assert got == reference.super_coinvariants(n, alpha, beta), (n, alpha, beta)
+            empty += not got
+    assert empty
+
+
+def test_super_coinvariants_skip_what_full_pieces_below_fill(monkeypatch):
+    # the `explore --problem zabrocki-t0` loop up to n = 4 made 15,259 inserts
+    # before full pieces were recognised, and makes 6,101 now
+    _super_ideal_basis.cache_clear()
+    calls = 0
+    insert = EchelonBasis.insert
+
+    def counted(self, vec):
+        nonlocal calls
+        calls += 1
+        return insert(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "insert", counted)
+    for n in range(1, 5):
+        for b in range(n + 1):
+            for a in range(n * (n - 1) // 2 + 1):
+                decompose_super_coinvariants(n, 1, 1, (a,), (b,))
+    assert calls <= 6_500, calls
 
 
 def test_super_coinvariants_scale_guard():
     with pytest.raises(ScaleGuardError):
         decompose_super_coinvariants(6, 1, 1, (1,), (1,))
+
+
+@pytest.mark.parametrize("decompose", [decompose_super_coinvariants, decompose_superspace])
+def test_superspace_multidegree_validation(decompose):
+    # checked before the scale guard, so n = 9 raises ValueError too
+    for n in (3, 9):
+        for m, p, alpha, beta in [
+            (1, 1, (-1,), (0,)),
+            (1, 1, (0,), (-1,)),
+            (2, 1, (2, -1), (1,)),
+            (1, 1, (1, 1), (0,)),
+            (1, 0, (1,), (0,)),
+        ]:
+            with pytest.raises(ValueError):
+                decompose(n, m, p, alpha, beta)
 
 
 # -- Grassmann quotient --------------------------------------------------------
