@@ -44,6 +44,7 @@ from itertools import (
     permutations,
     product,
 )
+from operator import itemgetter
 
 from .combinat import GradedPoly, Partition, perm_of_type
 from .errors import ScaleGuardError
@@ -319,8 +320,10 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     _, basis = quotient_basis(n, k, d)
     w = perm_of_type(rho, n)
     # (w . row)[pivot] = row[w^{-1} . pivot]; exponents of the preimage
-    # monomial are read through w directly.
-    ideal_trace = stable_trace(basis, lambda pivot, row: row.get(tuple(pivot[i] for i in w), 0))
+    # monomial are read through w directly (at n = 1, w is the identity and
+    # a one-index itemgetter would return a scalar).
+    preimage = itemgetter(*w) if n > 1 else tuple
+    ideal_trace = stable_trace(basis, lambda pivot, row: row.get(preimage(pivot), 0))
     return _count_fixed_monomials(rho.parts, k, d) - ideal_trace
 
 

@@ -1,10 +1,12 @@
 """Exact arithmetic in mixed commuting/anticommuting polynomial rings.
 
 The ambient ring has m batches of n commuting generators x and p batches
-of n anticommuting generators theta (indices 0-based).  A monomial stores
-one exponent vector per commuting batch and one strictly increasing index
-tuple per anticommuting batch; a repeated theta index is the zero
-monomial and is never stored.
+of n anticommuting generators theta (indices 0-based).  A monomial is the
+tuple (xs, thetas) of one exponent vector per commuting batch and one
+strictly increasing index tuple per anticommuting batch; a repeated theta
+index is the zero monomial and is never stored.  Monomials key every span,
+so hashing, equality and order are the tuple's own, run in C: a monomial
+equals the plain tuple (xs, thetas) and is the same dict key.
 
 Sign conventions are localized: every operation routes raw theta tuples
 through :func:`theta_canonical`, which sorts and returns the sign of the
@@ -25,11 +27,12 @@ their graded Frobenius images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
 from math import factorial, perm
+from operator import itemgetter
 
 from .combinat import GradedPoly, perm_inverse, perm_of_type
 from .errors import ScaleGuardError
@@ -72,21 +75,21 @@ def theta_canonical(indices: tuple[int, ...]) -> tuple[tuple[int, ...] | None, i
     return tuple(seq), sign
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class SuperMonomial:
-    """One monomial: exponents per commuting batch, index sets per theta batch."""
+class SuperMonomial(tuple):
+    """One monomial, the tuple (xs, thetas); equal to and hashed as that plain tuple."""
 
-    xs: tuple[tuple[int, ...], ...]
-    thetas: tuple[tuple[int, ...], ...]
-    # Monomials are dict keys throughout the linear algebra, and a tuple
-    # hash is recomputed on every lookup, so the hash is computed once here.
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    xs = property(itemgetter(0))
+    thetas = property(itemgetter(1))
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.xs, self.thetas)))
+    def __new__(cls, xs: tuple[tuple[int, ...], ...], thetas: tuple[tuple[int, ...], ...]):
+        return tuple.__new__(cls, (xs, thetas))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__(cls, xs, thetas)
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"SuperMonomial(xs={self[0]!r}, thetas={self[1]!r})"
 
     def multidegree(self) -> Multidegree:
         return tuple(sum(b) for b in self.xs), tuple(len(b) for b in self.thetas)
@@ -173,11 +176,7 @@ class SuperPoly:
 
     @classmethod
     def one(cls, n: int, m: int, p: int) -> "SuperPoly":
-        return cls(n, m, p, {cls._unit_mono(n, m, p): 1})
-
-    @staticmethod
-    def _unit_mono(n: int, m: int, p: int) -> SuperMonomial:
-        return SuperMonomial(tuple((0,) * n for _ in range(m)), tuple(() for _ in range(p)))
+        return cls(n, m, p, {SuperMonomial(((0,) * n,) * m, ((),) * p): 1})
 
     @classmethod
     def x(cls, n: int, m: int, p: int, i: int, batch: int = 0) -> "SuperPoly":

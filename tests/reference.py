@@ -33,6 +33,9 @@
   :class:`SuperPoly` operators, each polarization written as a sum over i
   of x_i (or theta_i) times a derivative, with every span kept in a
   :class:`FractionEchelonBasis`.
+- :class:`DataclassMonomial`: the super-monomial key as the frozen,
+  ordered dataclass with a cached hash of (xs, thetas) that the library
+  used before its keys became tuples.
 
 The first two share no code with the library beyond monomial enumeration,
 the symmetric polynomials and cycle-type representatives.  The line
@@ -47,13 +50,15 @@ untruncated step and share the trace readout and the Schur readout; they
 differ in the ring the ideal is spanned in and in how the invariants of
 the quotient are formed.  The next two share the tableau enumeration,
 the partition counts and the characters, and differ in how they are
-combined.  The last shares the seed, the derivatives and the polynomial
-product; it differs in how polarizations are applied, in the coefficient
-type and in the linear algebra.
+combined.  The closure search shares the seed, the derivatives and the
+polynomial product; it differs in how polarizations are applied, in the
+coefficient type and in the linear algebra.  The key shares no code with
+the library.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -92,6 +97,24 @@ from spanrep.superspace import (
 from spanrep.symfun import ClassFunction, SchurExpansion, irr_character, schur_from_traces
 
 _ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, order=True, slots=True)
+class DataclassMonomial:
+    """One monomial: exponents per commuting batch, index sets per theta batch."""
+
+    xs: tuple[tuple[int, ...], ...]
+    thetas: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.xs, self.thetas)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def multidegree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(sum(b) for b in self.xs), tuple(len(b) for b in self.thetas)
 
 
 class FractionEchelonBasis:

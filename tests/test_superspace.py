@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -11,10 +13,12 @@ from spanrep.oracle import decompose_coinvariants
 from spanrep.superspace import (
     SuperMonomial,
     SuperPoly,
+    apply_perm,
     d_theta,
     d_x,
     frobenius_of_closure,
     harmonic_closure,
+    mono_mul,
     polarization,
     superspace_vandermonde,
     vandermonde_derivative_identity,
@@ -191,6 +195,74 @@ def test_polarization_validation():
         polarization(0, 1, 2, kind="theta")
     with pytest.raises(ValueError):
         polarization(0, 1, kind="grassmann")
+
+
+# -- monomial keys -----------------------------------------------------------------
+
+
+@st.composite
+def key_rings(draw):
+    """A ring (n <= 5, up to two batches of each kind), a permutation of its
+    subscripts and a few of its super-monomials."""
+    n, m, p = draw(st.integers(1, 5)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    mono = st.builds(
+        lambda xs, thetas: SuperMonomial(tuple(xs), tuple(tuple(sorted(t)) for t in thetas)),
+        st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=m, max_size=m),
+        st.lists(st.sets(st.integers(0, n - 1)), min_size=p, max_size=p),
+    )
+    w = tuple(draw(st.permutations(range(n))))
+    return n, m, p, w, draw(st.lists(mono, min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(key_rings())
+def test_tuple_key_matches_dataclass_key(ring):
+    *_, monos = ring
+    olds = [reference.DataclassMonomial(a.xs, a.thetas) for a in monos]
+    by_old = dict(zip(olds, monos))
+    assert [by_old[o] for o in sorted(olds)] == sorted(monos)
+    for a, old_a in zip(monos, olds):
+        assert hash(a) == hash(old_a)
+        assert a.multidegree() == old_a.multidegree()
+        assert repr(a) == repr(old_a).replace("DataclassMonomial", "SuperMonomial", 1)
+        rebuilt = SuperMonomial(xs=old_a.xs, thetas=old_a.thetas)
+        assert type(rebuilt) is SuperMonomial and rebuilt == a
+        assert (rebuilt.xs, rebuilt.thetas) == (old_a.xs, old_a.thetas)
+        for b, old_b in zip(monos, olds):
+            assert (a < b) == (old_a < old_b)
+            assert (a == b) == (old_a == old_b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key_rings())
+def test_key_images_are_super_monomials(ring):
+    n, m, p, w, monos = ring
+    keys = [apply_perm(a, w)[0] for a in monos]
+    keys += [prod for a in monos for b in monos if (prod := mono_mul(a, b)[0]) is not None]
+    poly = SuperPoly(n, m, p, dict.fromkeys(monos, 1))
+    images = [d_x(poly, i, b) for i in range(n) for b in range(m)]
+    images += [d_theta(poly, i, b) for i in range(n) for b in range(p)]
+    if m == 2:
+        images += [polarization(0, 1, j, kind="x")(poly) for j in (1, 2)]
+    if p == 2:
+        images.append(polarization(1, 0, kind="theta")(poly))
+    keys += [key for image in images for key in image.terms()]
+    assert all(type(key) is SuperMonomial for key in keys)
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        SuperMonomial(((2, 0, 1),), ((0, 2),)),
+        SuperMonomial(((1, 0), (0, 3)), ((), (0, 1))),
+        SuperMonomial((), ()),
+    ],
+)
+def test_key_survives_pickle_and_copy(mono):
+    twins = [pickle.loads(pickle.dumps(mono, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    twins += [copy.copy(mono), copy.deepcopy(mono)]
+    for twin in twins:
+        assert type(twin) is SuperMonomial and twin == mono
 
 
 # -- harmonic closures -------------------------------------------------------------
