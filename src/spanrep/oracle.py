@@ -44,6 +44,7 @@ from itertools import (
     permutations,
     product,
 )
+from math import prod
 from operator import itemgetter
 
 from .combinat import GradedPoly, Partition, perm_of_type
@@ -407,13 +408,31 @@ def _check_multidegree(m: int, p: int, alpha: tuple[int, ...], beta: tuple[int, 
         raise ValueError(f"multidegree entries must be nonnegative, got {alpha}, {beta}")
 
 
-def _signed_fixed_trace(basis: tuple[SuperMonomial, ...], w: tuple[int, ...]) -> int:
-    tr = 0
-    for mono in basis:
-        img, sign = apply_perm(mono, w)
-        if img == mono:
-            tr += sign
-    return tr
+def _signed_fixed_trace(
+    cycles: tuple[int, ...], alpha: tuple[int, ...], beta: tuple[int, ...]
+) -> int:
+    """Trace of a permutation with these cycle lengths on the free piece
+    (alpha, beta): its signed count of fixed super-monomials, counted by
+    cycle type.
+
+    A fixed monomial has, in each x batch, exponents constant on every
+    cycle, and in each theta batch an index set that is a union of cycles;
+    w turns the thetas of a cycle of length l by the sign (-1)^(l-1).  So
+    an x batch of degree a contributes the number of solutions of
+    sum_c e_c l_c = a, a theta batch of degree b the t^b coefficient of
+    the product over cycles of 1 + (-1)^(l_c-1) t^(l_c), and the trace is
+    the product over batches.
+    """
+    top_x, top_theta = max(alpha, default=0), max(beta, default=0)
+    x_counts = [1] + [0] * top_x  # coefficients of prod_c 1 / (1 - q^l_c)
+    theta_counts = [1] + [0] * top_theta
+    for ell in cycles:
+        for d in range(ell, top_x + 1):
+            x_counts[d] += x_counts[d - ell]
+        sign = -1 if ell % 2 == 0 else 1
+        for d in range(top_theta, ell - 1, -1):
+            theta_counts[d] += sign * theta_counts[d - ell]
+    return prod(x_counts[a] for a in alpha) * prod(theta_counts[b] for b in beta)
 
 
 def decompose_superspace(
@@ -422,12 +441,12 @@ def decompose_superspace(
     """Schur decomposition of one free multidegree piece of the mixed ring.
 
     The diagonal subscript action permutes basis super-monomials up to the
-    theta reordering sign, so traces are signed fixed-point counts.
+    theta reordering sign, so traces are signed fixed-point counts, read
+    off the cycle type (:func:`_signed_fixed_trace`).
     """
     _check_multidegree(m, p, alpha, beta)
     _guard(n <= COMMUTING_MAX_N, f"superspace pieces limited to n <= {COMMUTING_MAX_N}, got n={n}")
-    basis = _multidegree_basis(n, alpha, beta)
-    return schur_from_traces(n, lambda rho: _signed_fixed_trace(basis, perm_of_type(rho, n)))
+    return schur_from_traces(n, lambda rho: _signed_fixed_trace(rho.parts, alpha, beta))
 
 
 def _orbit_sums(monomials, group, act) -> list[dict]:
@@ -524,8 +543,8 @@ def decompose_super_coinvariants(
         return SchurExpansion(n)
 
     def trace(rho):
-        w = perm_of_type(rho, n)
-        return _signed_fixed_trace(basis, w) - stable_trace(ideal, subscript_coordinate(w))
+        coordinate = subscript_coordinate(perm_of_type(rho, n))
+        return _signed_fixed_trace(rho.parts, alpha, beta) - stable_trace(ideal, coordinate)
 
     return schur_from_traces(n, trace)
 

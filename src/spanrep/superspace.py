@@ -272,6 +272,20 @@ def _mono_str(mono: SuperMonomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _perm_sign(w: tuple[int, ...]) -> int:
+    """The sign of w, (-1)^(n - number of cycles)."""
+    seen = [False] * len(w)
+    cycles = 0
+    for i in range(len(w)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = w[j]
+    return -1 if (len(w) - cycles) % 2 else 1
+
+
 def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> SuperPoly:
     """Antisymmetrized staircase-times-theta seed in one x and one theta batch.
 
@@ -297,7 +311,7 @@ def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> Sup
     def antisymmetrize(mono):
         for w in permutations(range(n)):
             img, tsign = apply_perm(mono, w + fixed)
-            yield img, theta_canonical(w)[1] * tsign  # the sign of w, times the theta sign
+            yield img, _perm_sign(w) * tsign
 
     return SuperPoly(amb, 1, 1, _linear_image({seed: 1}, antisymmetrize))
 
@@ -421,10 +435,30 @@ def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
     all partial derivatives and polarization operators.
 
     The seed sits in the first commuting and first anticommuting batch.
-    Breadth-first: every operator is applied to every vector that enlarged
-    some multidegree's span, until a full round adds no rank.  Derivatives
-    only lower degrees and polarizations conserve total degree, so the
-    reachable multidegree set is finite and the loop terminates.
+    The search keeps a queue of the vectors that enlarged some
+    multidegree's span, each with the operator that made it, and applies
+    operators to them until the queue is empty.  Derivatives only lower
+    degrees and polarizations conserve total degree, so the reachable
+    multidegree set is finite and the loop terminates.
+
+    The x operators (x-derivatives and x-polarizations of every batch) act
+    on other variables than the theta operators (theta-derivatives and
+    theta-polarizations), so each x operator commutes with each theta
+    operator.  Two rules leave operators out; the final span V is the
+    closure all the same:
+
+    1. Theta operators act only on the seed and on vectors that a theta
+       operator made.  Every x operator acts on every queued vector (up to
+       rule 2), so V is closed under each x operator X.  A vector g = X h
+       that X made has Theta g = X (Theta h) for each theta operator
+       Theta, and Theta h lies in V by induction on how h was made, so
+       Theta g lies in V.
+    2. No duplicate sibling derivatives.  When popping h gave two
+       derivatives of one family (x or theta, over all batches), D_i h and
+       D_j h with i < j, and both enlarged a span, D_j is not applied to
+       D_i h.  The skipped image is +-D_i (D_j h), since x-derivatives
+       commute and theta-derivatives anticommute, and D_i is applied to
+       D_j h when that is popped: only exactly equal vectors are skipped.
 
     No variable's per-batch degree ever exceeds k - 1 (the seed's maximum,
     conserved or lowered by every operator), so polarization powers are
@@ -444,13 +478,16 @@ def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
         lambda mono: ((SuperMonomial(mono.xs + pad_x, mono.thetas + pad_theta), 1),),
     )
 
-    # The operator order fixes the order of the inserts, not the spans.
-    maps = [partial(_d_x_image, i, b) for b in range(m) for i in range(n)]
-    maps += [partial(_d_theta_image, i, b) for b in range(p) for i in range(n)]
+    # (image, theta operator?, derivative?); the order fixes the order of
+    # the inserts, not the spans.
+    ops = [(partial(_d_x_image, i, b), False, True) for b in range(m) for i in range(n)]
+    ops += [(partial(_d_theta_image, i, b), True, True) for b in range(p) for i in range(n)]
     for src, dst in permutations(range(m), 2):
-        maps += [partial(_x_polarization_image, src, dst, j) for j in range(1, max(k, 2))]
+        ops += [
+            (partial(_x_polarization_image, src, dst, j), False, False) for j in range(1, max(k, 2))
+        ]
     for src, dst in permutations(range(p), 2):
-        maps.append(partial(_theta_polarization_image, src, dst))
+        ops.append((partial(_theta_polarization_image, src, dst), True, False))
 
     spaces: dict[Multidegree, EchelonBasis] = {}
 
@@ -458,14 +495,24 @@ def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
         md = next(iter(terms)).multidegree()
         return spaces.setdefault(md, EchelonBasis()).insert(terms)
 
-    queue = [seed]
+    # entry: (vector, index of the operator that made it or None for the
+    # seed, the derivatives of its family that enlarged a span from the
+    # same parent, filled in before the entry is popped)
+    queue = [(seed, None, ())]
     insert(seed)
     while queue:
-        vec = queue.pop()
-        for image in maps:
+        vec, made_by, siblings = queue.pop()
+        theta_made = made_by is None or ops[made_by][1]
+        skip = {o for o in siblings if o > made_by}
+        grown: dict[bool, list[int]] = {False: [], True: []}
+        for o, (image, theta, derivative) in enumerate(ops):
+            if theta and not theta_made or o in skip:
+                continue
             img = _linear_image(vec, image)
             if img and insert(img):
-                queue.append(img)
+                if derivative:
+                    grown[theta].append(o)
+                queue.append((img, o, grown[theta] if derivative else ()))
     return ClosureSpace(n, m, p, k, spaces)
 
 

@@ -36,6 +36,9 @@
 - :class:`DataclassMonomial`: the super-monomial key as the frozen,
   ordered dataclass with a cached hash of (xs, thetas) that the library
   used before its keys became tuples.
+- :func:`signed_fixed_trace`: a permutation's trace on a free superspace
+  piece, as the signed count of the super-monomials it fixes, each
+  monomial permuted one by one.
 
 The first two share no code with the library beyond monomial enumeration,
 the symmetric polynomials and cycle-type representatives.  The line
@@ -53,7 +56,9 @@ the partition counts and the characters, and differ in how they are
 combined.  The closure search shares the seed, the derivatives and the
 polynomial product; it differs in how polarizations are applied, in the
 coefficient type and in the linear algebra.  The key shares no code with
-the library.
+the library.  The fixed-monomial count shares the super-monomial
+enumeration and the subscript action, where the library counts by cycle
+type.
 """
 
 from __future__ import annotations
@@ -301,20 +306,26 @@ def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
     return ideal
 
 
+def signed_fixed_trace(n: int, alpha: tuple, beta: tuple, w: tuple) -> int:
+    """Trace of w on the free piece (alpha, beta): every super-monomial of
+    the piece permuted by w, and the theta sign of each fixed one summed."""
+    fixed = 0
+    for mono in _multidegree_basis(n, alpha, beta):
+        img, sign = apply_perm(mono, w)
+        if img == mono:
+            fixed += sign
+    return fixed
+
+
 def super_coinvariants(n: int, alpha: tuple, beta: tuple) -> SchurExpansion:
     """Schur decomposition of one multidegree piece of the quotient by
     :func:`super_ideal_basis`, every cycle type traced as the signed fixed
     monomials minus the trace on the ideal, full ideal pieces included."""
-    monomials = _multidegree_basis(n, alpha, beta)
     ideal = super_ideal_basis(n, alpha, beta)
 
     def trace(rho):
         w = perm_of_type(rho, n)
-        fixed = 0
-        for mono in monomials:
-            img, sign = apply_perm(mono, w)
-            if img == mono:
-                fixed += sign
+        fixed = signed_fixed_trace(n, alpha, beta, w)
         return fixed - stable_trace(ideal, subscript_coordinate(w))
 
     return schur_from_traces(n, trace)

@@ -21,6 +21,7 @@ from spanrep.oracle import (
     _invariant_basis,
     _multidegree_basis,
     _orbit_sums,
+    _signed_fixed_trace,
     _super_ideal_basis,
     character_on_quotient,
     complete_sym,
@@ -253,6 +254,20 @@ def test_superspace_dimension_product_formula():
 def test_superspace_two_batches():
     exp = decompose_superspace(2, 2, 0, (1, 1), ())
     assert int(dimension(exp).evaluate()) == 4
+
+
+def test_signed_fixed_trace_matches_enumeration():
+    # every cycle type for n <= 5, up to two batches of each kind, every
+    # multidegree of total degree at most 4
+    for n in range(1, 6):
+        for m, p in product(range(3), repeat=2):
+            for md in product(range(5), repeat=m + p):
+                alpha, beta = md[:m], md[m:]
+                if sum(md) > 4 or any(b > n for b in beta):
+                    continue
+                for rho in partitions_of(n):
+                    want = reference.signed_fixed_trace(n, alpha, beta, perm_of_type(rho, n))
+                    assert _signed_fixed_trace(rho.parts, alpha, beta) == want, (rho, alpha, beta)
 
 
 def test_superspace_padded_multiplicities_stabilize():
