@@ -9,6 +9,7 @@ unless a scale guard trips; they never gate anything.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -238,8 +239,8 @@ def cmd_superspace(args) -> int:
         _emit_json(make_envelope("superspace", params | {"mode": "check-identity"},
                                  payload, "superspace", __version__))
         return EXIT_OK if result.equal else EXIT_MISMATCH
-    closure = harmonic_closure(n, 1, 1, k)
     if args.closure:
+        closure = harmonic_closure(n, 1, 1, k)
         payload = {
             "kind": "closure_hilbert",
             "n": n,
@@ -250,7 +251,7 @@ def cmd_superspace(args) -> int:
         _emit_json(make_envelope("superspace", params | {"mode": "closure"},
                                  payload, "superspace", __version__))
         return EXIT_OK
-    tables = frobenius_of_closure(n, 1, 1, k, closure=closure)
+    tables = frobenius_of_closure(n, 1, 1, k)
     entries = []
     for (alpha, beta), exp in sorted(tables.items()):
         entries.append(
@@ -389,6 +390,7 @@ def cmd_explore(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call and reused; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanrep",

@@ -37,7 +37,7 @@ from operator import itemgetter
 from .combinat import GradedPoly, perm_inverse, perm_of_type
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, stable_trace
-from .symfun import SchurExpansion, schur_from_traces
+from .symfun import SchurExpansion, omega, schur_from_traces
 
 __all__ = [
     "ClosureSpace",
@@ -430,7 +430,9 @@ class ClosureSpace:
         }
 
 
-def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
+def harmonic_closure(
+    n: int, m: int, p: int, k: int, *, theta_cap: int | None = None
+) -> ClosureSpace:
     """Smallest subspace containing the Vandermonde seed and closed under
     all partial derivatives and polarization operators.
 
@@ -463,6 +465,19 @@ def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
     No variable's per-batch degree ever exceeds k - 1 (the seed's maximum,
     conserved or lowered by every operator), so polarization powers are
     enumerated only up to k - 1; higher powers annihilate the whole space.
+
+    ``theta_cap`` spans part of the closure: x operators skip every vector
+    whose total theta-degree exceeds the cap.  The pieces of theta-degree
+    <= theta_cap are still complete.  Every closure vector is X (Theta
+    seed) for a word X in x operators and a word Theta in theta operators,
+    since the two kinds commute; the walk spans every Theta seed, and below
+    the cap the rules keep the span closed under each x operator as
+    before.  Rule 1 holds: Theta (X h) = X (Theta h), where h has the
+    theta-degree of X h and Theta h at most that.  Rule 2 never skips an
+    image that the cap blocks, because x-siblings share their parent's
+    theta-degree.  Above the cap the result holds only the span of the
+    Theta seed; with m = 1, where every x operator lowers x-degree, that is
+    exactly the closure's pieces at the seed's x-degree.
     """
     if m < 1 or p < 1:
         raise ValueError("closure spaces need at least one batch of each kind")
@@ -503,10 +518,11 @@ def harmonic_closure(n: int, m: int, p: int, k: int) -> ClosureSpace:
     while queue:
         vec, made_by, siblings = queue.pop()
         theta_made = made_by is None or ops[made_by][1]
+        x_capped = theta_cap is not None and sum(map(len, next(iter(vec)).thetas)) > theta_cap
         skip = {o for o in siblings if o > made_by}
         grown: dict[bool, list[int]] = {False: [], True: []}
         for o, (image, theta, derivative) in enumerate(ops):
-            if theta and not theta_made or o in skip:
+            if (not theta_made if theta else x_capped) or o in skip:
                 continue
             img = _linear_image(vec, image)
             if img and insert(img):
@@ -538,16 +554,52 @@ def frobenius_of_closure(
     that is valid because the closure space is stable under the diagonal
     subscript action (the seed is antisymmetric and the operator family is
     closed under conjugation by permutations).
+
+    With one batch of each kind (m = p = 1) the closure is R f, the span
+    of all derivatives of the seed f, and its pieces pair off by duality.
+    Let f have x-degree A and theta-degree B = n - k, and let V(a, b) be
+    the piece of x-degree a and theta-degree b, spanned by D f for the
+    monomial operators D of bidegree (A - a, B - b).
+
+    - The pairing <D, E> = constant term of (D E) f is nondegenerate on
+      R / Ann(f): if D f != 0, pair D with the monomial operator dual to
+      one term of D f.  So dim V(a, b) = dim V(A - a, B - b).
+    - f is antisymmetric, so w (D f) = sgn(w) (w D) f and
+      <w D, w E> = sgn(w) <D, E>.  Hence V(a, b) is the dual of
+      V(A - a, B - b) tensored with the sign character, and the Frobenius
+      image of (a, b) is omega of that of (A - a, B - b).
+
+    So, when no closure is passed, only the pieces of theta-degree
+    <= floor(B / 2) and the theta chain at x-degree A (reached from f by
+    theta-derivatives alone) are spanned, by ``harmonic_closure`` with
+    ``theta_cap = B // 2``; every other piece's table is omega of its
+    dual's.  Where a piece and its dual are both spanned (the chain and its
+    duals, the middle theta-degree, or every piece of a passed closure),
+    the two tables are compared and a mismatch raises ``RuntimeError``.
+
+    The rule is for m = p = 1 only.  Polarizations make the closure of
+    more batches larger than R f, and then the pieces do not pair off: at
+    (n, m, p, k) = (3, 2, 1, 2), (3, 1, 2, 2) and (4, 2, 1, 3) the ranks
+    by total bidegree are not symmetric.
     """
-    space = closure if closure is not None else harmonic_closure(n, m, p, k)
+    dual_rule = m == p == 1
+    if closure is None:
+        closure = harmonic_closure(n, m, p, k, theta_cap=(n - k) // 2 if dual_rule else None)
     out: dict[Multidegree, SchurExpansion] = {}
-    for md, basis in sorted(space.spaces.items()):
+    for md, basis in sorted(closure.spaces.items()):
         if not basis.rank:
             continue
         out[md] = schur_from_traces(
             n, lambda rho: stable_trace(basis, subscript_coordinate(perm_of_type(rho, n)))
         )
-    return out
+    if not dual_rule:
+        return out
+    top_x, top_theta = (n - k) * (k - 1) + k * (k - 1) // 2, n - k  # the seed's bidegree
+    for ((a,), (b,)), exp in list(out.items()):
+        dual, flipped = ((top_x - a,), (top_theta - b,)), omega(exp)
+        if out.setdefault(dual, flipped) != flipped:
+            raise RuntimeError(f"closure piece {(a, b)} is not omega of its dual piece")
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)

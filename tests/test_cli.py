@@ -118,6 +118,36 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+def test_reused_parser_answers_as_a_fresh_one(capsys):
+    # main builds the argparse tree once per process; every later request
+    # must get the exit code and output that a newly built parser gives
+    import spanrep.cli as cli_mod
+
+    requests = [
+        ["frobenius", "3"],  # usage error from argparse
+        ["--version"],
+        ["frobenius", "3", "2"],
+        ["superspace", "2", "2", "--closure"],
+    ]
+
+    def answer(argv):
+        code, out, err = run_cli(capsys, *argv)
+        if out.startswith("{"):
+            envelope = json_out(out)
+            del envelope["provenance"]["timestamp"]
+            out = envelope
+        return code, out, err
+
+    fresh = []
+    for argv in requests:
+        cli_mod.build_parser.cache_clear()
+        fresh.append(answer(argv))
+    parser = cli_mod.build_parser()
+    assert [answer(argv) for argv in requests] == fresh
+    assert cli_mod.build_parser() is parser
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0]
+
+
 # -- caching -------------------------------------------------------------
 
 

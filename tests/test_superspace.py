@@ -1,5 +1,7 @@
 import copy
+import functools
 import pickle
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -26,7 +28,7 @@ from spanrep.superspace import (
     theta_canonical,
     vandermonde_derivative_identity,
 )
-from spanrep.symfun import SchurExpansion
+from spanrep.symfun import SchurExpansion, omega
 
 
 def x(i, n=2, m=1, p=1, batch=0):
@@ -387,6 +389,95 @@ def test_frobenius_of_closure_dimensions_agree():
         assert set(tables) == set(dims)
         for md, exp in tables.items():
             assert int(dimension(exp).evaluate()) == dims[md]
+
+
+@functools.cache
+def full_closure_tables(n, m, p, k):
+    """(ranks, tables) of every piece of the whole closure."""
+    space = harmonic_closure(n, m, p, k)
+    return space.dims(), frobenius_of_closure(n, m, p, k, closure=space)
+
+
+def seed_bidegree(n, k):
+    return (n - k) * (k - 1) + k * (k - 1) // 2, n - k
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
+def test_dual_readout_matches_full_closure(n, k):
+    # the default readout spans the low-theta half and the top theta chain
+    # and reads the rest off dual pieces; the reference spans everything
+    tables = frobenius_of_closure(n, 1, 1, k)
+    expected = full_closure_tables(n, 1, 1, k)[1]
+    assert tables == expected
+    assert list(tables) == list(expected)
+
+
+def test_dual_readout_checks_the_top_theta_chain(monkeypatch):
+    # the theta chain at the top x-degree is spanned and read as well as its
+    # duals, so a wrong chain piece raises instead of being read off its
+    # dual; at (3, 2) no other piece is spanned together with its dual
+    import spanrep.superspace as superspace
+
+    def closure_with_wrong_seed_piece(n, m, p, k, **kwargs):
+        space = harmonic_closure(n, m, p, k, **kwargs)
+        # the seed's piece carries the sign character; put the trivial one there
+        mono = SuperMonomial(((1, 1, 0),), ((0,),))
+        symmetric = EchelonBasis()
+        symmetric.insert({apply_perm(mono, w)[0]: 1 for w in permutations(range(3))})
+        space.spaces[((2,), (1,))] = symmetric
+        return space
+
+    monkeypatch.setattr(superspace, "harmonic_closure", closure_with_wrong_seed_piece)
+    with pytest.raises(RuntimeError, match="omega"):
+        frobenius_of_closure(3, 1, 1, 2)
+
+
+@pytest.mark.parametrize("n, m, p, k", [(3, 2, 1, 2), (3, 1, 2, 2), (2, 2, 2, 2)])
+def test_readout_spans_every_piece_with_extra_batches(n, m, p, k):
+    assert frobenius_of_closure(n, m, p, k) == full_closure_tables(n, m, p, k)[1]
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
+def test_closure_pieces_are_omega_dual(n, k):
+    # R f is Gorenstein and f is antisymmetric: piece (a, b) is the dual of
+    # piece (A - a, B - b) twisted by the sign character
+    top_x, top_theta = seed_bidegree(n, k)
+    dims, tables = full_closure_tables(n, 1, 1, k)
+    assert set(dims) == set(tables)
+    for ((a,), (b,)), exp in tables.items():
+        dual = ((top_x - a,), (top_theta - b,))
+        assert dims[dual] == dims[((a,), (b,))], (n, k, a, b)
+        assert tables[dual] == omega(exp), (n, k, a, b)
+
+
+def test_closure_with_two_x_batches_is_not_self_dual():
+    # polarizations make the closure more than the derivative span of f,
+    # so the ranks by total bidegree lose their symmetry
+    top_x, top_theta = seed_bidegree(3, 2)
+    by_total = Counter()
+    for (alpha, beta), dim in harmonic_closure(3, 2, 1, 2).dims().items():
+        by_total[sum(alpha), sum(beta)] += dim
+    assert by_total[0, 0] == 1
+    assert by_total[top_x, top_theta] == 3
+    assert any(dim != by_total[top_x - a, top_theta - b] for (a, b), dim in by_total.items())
+
+
+def test_readout_skips_the_dual_half(monkeypatch):
+    # inserts over frobenius_of_closure(5, 1, 1, k), k = 1..5: 4,507 when
+    # the whole closure is spanned, 3,032 with the low-theta half and the
+    # top theta chain; the spanned pieces' summed rank is 953
+    calls = 0
+    insert = EchelonBasis.insert
+
+    def counted(self, vec):
+        nonlocal calls
+        calls += 1
+        return insert(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "insert", counted)
+    for k in range(1, 6):
+        frobenius_of_closure(5, 1, 1, k)
+    assert calls <= 3_200, calls
 
 
 def test_top_theta_slice_twist_regression():
