@@ -27,6 +27,7 @@ def main() -> int:
         runs.append(["explore", "--problem", "rw-twist", "--n", str(n)])
     runs.append(["explore", "--problem", "zabrocki-t0", "--n", "2"])
     runs.append(["explore", "--problem", "zabrocki-t0", "--n", "3"])
+    runs.append(["explore", "--problem", "zabrocki-t0", "--n", "4"])
     runs.append(["explore", "--problem", "grassmann", "--d", "2", "--n", "2", "--k", "2"])
     runs.append(["explore", "--problem", "grassmann", "--d", "2", "--n", "2", "--k", "3"])
 

@@ -42,6 +42,7 @@ from .stability import (
     multiplicity_sequence,
 )
 from .superspace import (
+    ClosureSpace,
     frobenius_of_closure,
     harmonic_closure,
     vandermonde_derivative_identity,
@@ -285,8 +286,17 @@ def _twist_candidates(exp: SchurExpansion, top: int) -> dict[str, SchurExpansion
     }
 
 
-def _closure_z_slice(n: int, k: int, tables) -> SchurExpansion:
-    """q-graded expansion of the theta-degree n - k slice of the closure."""
+def _closure_z_slice(n: int, k: int) -> SchurExpansion:
+    """q-graded expansion of the theta-degree n - k slice of the closure.
+
+    By duality (:func:`frobenius_of_closure`) that slice is omega of the
+    theta-degree-0 slice, with x-degree a read as A - a, so only the
+    theta-degree-0 pieces are spanned and traced; the readout fills in
+    their duals.
+    """
+    capped = harmonic_closure(n, 1, 1, k, theta_cap=0)
+    low = {md: basis for md, basis in capped.spaces.items() if md[1] == (0,)}
+    tables = frobenius_of_closure(n, 1, 1, k, closure=ClosureSpace(n, 1, 1, k, low))
     coeffs: dict[Partition, GradedPoly] = {}
     for (alpha, beta), exp in tables.items():
         if beta[0] != n - k:
@@ -300,8 +310,7 @@ def _closure_z_slice(n: int, k: int, tables) -> SchurExpansion:
 def _explore_rw_twist(n: int) -> dict:
     per_k = []
     for k in range(1, n + 1):
-        tables = frobenius_of_closure(n, 1, 1, k)
-        v_slice = _closure_z_slice(n, k, tables)
+        v_slice = _closure_z_slice(n, k)
         ring = grfrob_tableaux(n, k).as_q_expansion()
         top = max(_expansion_q_top(ring), _expansion_q_top(v_slice))
         matches = [name for name, cand in _twist_candidates(ring, top).items() if cand == v_slice]
@@ -336,8 +345,7 @@ def _explore_zabrocki_t0(n: int) -> dict:
     v_entries = []
     agrees = True
     for k in range(1, n + 1):
-        tables = frobenius_of_closure(n, 1, 1, k)
-        v_slice = _closure_z_slice(n, k, tables)
+        v_slice = _closure_z_slice(n, k)
         v_entries.append(
             {"k": k, "theta_degree": n - k, "expansion": expansion_to_json(v_slice)}
         )

@@ -8,15 +8,16 @@ A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
 k.  Each ideal piece, these and the superspace coinvariant ones alike, is
 spanned by one kernel (:func:`_span_piece`) from its generators and the
 degree-one multiples of the pieces below, and row-reduced exactly with
-integer rows.  For line and d-plane pieces a chain criterion read off the
-pivot sets of the two pieces below skips the products that the kept ones
-already span (:func:`_ideal_piece`).  That is generic linear algebra on the
-ideal's own generators: nothing from the tableau formula, and no known
-Groebner basis of these ideals.
+integer rows.  A chain criterion read off the pivot sets of the pieces
+below skips the products that the kept ones already span
+(:func:`_ideal_piece`, and for superspace :func:`_super_ideal_basis`).
+That is generic linear algebra on the ideal's own generators: nothing
+from the tableau formula, and no known Groebner basis of these ideals.
 A piece stops spanning once its rank is the number of monomials.  A
 superspace piece is full outright when a piece one step below it is,
 since every monomial is, up to sign, a degree-one generator times a
-monomial one step lower; its quotient is then zero, read without traces.
+monomial one step lower; a full superspace piece holds no rows (it is
+None), and its quotient is zero, read without traces.
 Both invariant spaces, the diagonal ones and the Grassmann oracle's
 within-batch ones, are signed orbit sums of monomials, one per orbit
 (:func:`_orbit_sums`); disjoint supports make them independent as they are.
@@ -76,8 +77,9 @@ COMMUTING_MAX_N = 7
 # 38,165.
 COMMUTING_MAX_PIECE = 10_000
 # Superspace quotients: at n = 5, `spanrep explore --problem zabrocki-t0
-# --n 5` takes about 19 s and 99 MB max RSS on a 2-vCPU Xeon VM (42 s and
-# 158 MB when full ideal pieces were still spanned and traced).
+# --n 5` takes about 5 s and 51 MB max RSS on a 2-vCPU Xeon VM (14 s and
+# 94 MB without the chain criterion of _super_ideal_basis, 42 s and 158 MB
+# when full ideal pieces were still spanned and traced).
 SUPER_QUOTIENT_MAX_N = 5
 
 Poly = dict  # exponent tuple -> int coefficient
@@ -481,45 +483,134 @@ def _invariant_basis(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> l
     return _orbit_sums(_multidegree_basis(n, alpha, beta), group, apply_perm)
 
 
+def _quotients(mono: SuperMonomial, batch: int, m: int):
+    """(l, mono / g_l) for each degree-one generator g_l (x_l or theta_l)
+    of one batch, x batches first, that divides mono, l ascending; theta
+    quotients are up to sign."""
+    xs, thetas = mono
+    if batch < m:
+        b = xs[batch]
+        for l, e in enumerate(b):
+            if e:
+                lower = b[:l] + (e - 1,) + b[l + 1 :]
+                yield l, SuperMonomial(xs[:batch] + (lower,) + xs[batch + 1 :], thetas)
+    else:
+        c = batch - m
+        t = thetas[c]
+        for pos, l in enumerate(t):
+            yield l, SuperMonomial(xs, thetas[:c] + (t[:pos] + t[pos + 1 :],) + thetas[c + 1 :])
+
+
 @cache
 def _super_ideal_basis(
     n: int, alpha: tuple[int, ...], beta: tuple[int, ...]
-) -> EchelonBasis:
+) -> EchelonBasis | None:
     """Multidegree (alpha, beta) piece of the ideal generated by the
-    positive-multidegree diagonal invariants: its invariants plus each
-    degree-one generator g (an x_j or theta_j of one batch) times the piece
-    one step below in g's batch.  Every positive-degree monomial is such a
-    g times a monomial one step lower, so these products span the rest.
+    positive-multidegree diagonal invariants, or None when the ideal fills
+    the multidegree: its invariants plus each degree-one generator g (an
+    x_j or theta_j of one batch) times the piece one step below in g's
+    batch.  Every positive-degree monomial is such a g times a monomial
+    one step lower, so these products span the rest.
 
-    For the same reason the piece is the whole multidegree as soon as one
-    piece below it is: each monomial is then, up to sign, a generator times
-    an ideal element.  Such a piece is built from its unit rows alone, with
-    no invariants and no products.
+    For the same reason the piece is full as soon as one piece below it
+    is: each monomial is then, up to sign, a generator times an ideal
+    element.  A full piece, whether made full so or by spanning, holds no
+    rows: no piece above reads them, and its quotient is zero.
+
+    Three rules skip products that the kept ones span, so the piece, and
+    its reduced echelon basis, is the same as with every product.  Keys
+    are ordered as tuples (xs, thetas).  Multiplying by x_j adds one to an
+    exponent, and the order of two same-size theta sets A, B is that of
+    their sorted tuples: A < B when min(A ^ B) lies in A.  Read on
+    exponent vectors, that is "larger exponent at the first difference",
+    which extends to a total order on every multidegree of the commuting
+    ring Q[x, theta-as-commuting] that multiplication preserves strictly.
+    Products are compared by their nominal key g * p in that ring, even
+    when theta_j * p vanishes (p already holds theta_j).  Signs from
+    anticommuting thetas only rescale products: left multiplications by
+    two thetas of one batch anticommute, and any other two commute.  For
+    the row of the piece below with pivot p, let par(p) be the l with
+    p / g_l a pivot of the piece two steps down in g's batch.
+
+    1. Within an x batch, keep x_j * row_p only if par(p) is empty or
+       min par(p) >= j: the chain criterion of :func:`_ideal_piece`, whose
+       argument carries over unchanged, since multiplying by x_j is
+       injective on keys and strictly preserves their order.  For i in
+       par(p) and q = p / x_i, x_i * row_q is c * row_p plus rows with
+       larger pivots, and x_j * row_q is a combination of rows s of the
+       piece below with s >= x_j * q; so x_j * row_p is a combination of
+       products with larger keys and of x_i * row_(x_j q), of the same key
+       and an earlier index when i < j.
+    2. Within a theta batch, theta_j^2 = 0 plays the part of x_j^k = 0 in
+       :func:`_ideal_piece` at k = 2.  When j is not in p, keep
+       theta_j * row_p only if par(p) is empty or min par(p) >= j, by the
+       argument of rule 1.  When j is in p, so that theta_j * p vanishes,
+       keep it only if par(p) is empty or is [j]: for i in par(p) other
+       than j, q = p / theta_i holds j, so every key of theta_j * row_q
+       lies above the nominal theta_j * q, and every product in the
+       expansion has a larger nominal key than theta_j * p.
+    3. Across batches, an x product is skipped when p = theta_l * q for a
+       theta_l of some theta batch and q a pivot of the piece one x step
+       and one theta step down.  theta_l * row_q lies in the piece below
+       and has least key p, so row_p = (theta_l * row_q - sum_(s > p)
+       c_s row_s) / c, and x_j * row_p = (theta_l * (x_j * row_q) -
+       sum_(s > p) c_s x_j * row_s) / c.  x_j * row_q lies in the piece
+       one theta step below this one, so theta_l times it is a combination
+       of that batch's theta products, which rule 2 keeps in the span; the
+       rest are x products with larger keys.  Theta products are never
+       pruned against x products, which would be circular.
+
+    By induction over (key descending, j ascending), separately in each
+    batch and with the theta batches first, every skipped product lies in
+    the span of the kept ones.
     """
     md, m = alpha + beta, len(alpha)
     if not any(md):
         return EchelonBasis()  # the ideal has no constants
-    monomials = _multidegree_basis(n, alpha, beta)
+
+    def down(*batches):
+        lower = list(md)
+        for i in batches:
+            lower[i] -= 1
+        if min(lower) < 0:
+            return EchelonBasis()  # no such multidegree: nothing to skip against
+        return _super_ideal_basis(n, tuple(lower[:m]), tuple(lower[m:]))
+
     below = []
     for i, e in enumerate(md):
-        if not e:
-            continue
-        step = tuple(int(j == i) for j in range(len(md)))
-        lower = tuple(a - b for a, b in zip(md, step))
-        piece = _super_ideal_basis(n, lower[:m], lower[m:])
-        if piece.rank == len(_multidegree_basis(n, lower[:m], lower[m:])):
-            return _span_piece([{mono: 1} for mono in monomials], (), len(monomials))
-        below.append((step, piece))
+        if e:
+            piece = down(i)
+            if piece is None:
+                return None
+            below.append((i, piece))
 
+    # The pieces two steps down read here lie one step below a piece in
+    # below, so none of them is full.
     def multiples():
-        for step, piece in below:
-            rows = piece.primitive_rows()
-            support = {mono for _, row in rows for mono in row}
+        for i, piece in below:
+            two_below = set(down(i, i).pivots())
+            # rule 3: for an x batch, the pivots one x step and one theta step down
+            across = [(c, set(down(i, c).pivots())) for c in range(m, len(md)) if i < m and md[c]]
+            rows = [
+                (p, row, [l for l, q in _quotients(p, i, m) if q in two_below])
+                for p, row in piece.primitive_rows()
+                if not any(q in pivots for c, pivots in across for _, q in _quotients(p, c, m))
+            ]
+            step = tuple(int(b == i) for b in range(len(md)))
             for g in _multidegree_basis(n, step[:m], step[m:]):
+                j = g.xs[i].index(1) if i < m else g.thetas[i - m][0]
+                kept = [
+                    (p, row)
+                    for p, row, par in rows
+                    if not par or (par == [j] if i >= m and j in p.thetas[i - m] else par[0] >= j)
+                ]
+                support = {mono for _, row in kept for mono in row}
                 times = {mono: t for mono in support if (t := mono_mul(g, mono))[0] is not None}
-                yield rows, times
+                yield kept, times
 
-    return _span_piece(_invariant_basis(n, alpha, beta), multiples(), len(monomials))
+    dim = len(_multidegree_basis(n, alpha, beta))
+    basis = _span_piece(_invariant_basis(n, alpha, beta), multiples(), dim)
+    return None if basis.rank == dim else basis
 
 
 def decompose_super_coinvariants(
@@ -537,9 +628,8 @@ def decompose_super_coinvariants(
         n <= SUPER_QUOTIENT_MAX_N,
         f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}",
     )
-    basis = _multidegree_basis(n, alpha, beta)
     ideal = _super_ideal_basis(n, alpha, beta)
-    if ideal.rank == len(basis):
+    if ideal is None:
         return SchurExpansion(n)
 
     def trace(rho):

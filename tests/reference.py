@@ -19,6 +19,10 @@
 - :func:`super_coinvariants`: the superspace coinvariant quotient read
   off :func:`super_ideal_basis` by traces for every multidegree, with no
   shortcut for pieces that the ideal fills.
+- :func:`super_ideal_step`: a superspace ideal piece by the one-step-down
+  recursion with no product skipped: its invariants plus every
+  degree-one generator times every row of each piece one step below,
+  and the unit rows when a piece below is full.
 - :func:`grassmann_ideal`: the d-plane ideal's pieces in the full ring
   Q[x], spanned by :func:`_ideal_step` with no truncation.
 - :func:`grassmann_quotient`: the Grassmann oracle over
@@ -48,10 +52,12 @@ enumeration, subscript action and monomial products, and the quotient
 shares the trace and Schur readouts; they differ from the library's orbit
 sums and one-step-down recursion in how invariants and the ideal piece
 are spanned, multiply through their own :func:`_mono_times_vector`, and
-trace every piece, even one the ideal fills.  The Grassmann references keep their own
-untruncated step and share the trace readout and the Schur readout; they
-differ in the ring the ideal is spanned in and in how the invariants of
-the quotient are formed.  The next two share the tableau enumeration,
+trace every piece, even one the ideal fills.  The unpruned step shares
+the library's span kernel, orbit sums and monomial products, and differs
+only in skipping no product and in keeping the rows of full pieces.  The
+Grassmann references keep their own untruncated step and share the trace
+readout and the Schur readout; they differ in the ring the ideal is
+spanned in and in how the invariants of the quotient are formed.  The next two share the tableau enumeration,
 the partition counts and the characters, and differ in how they are
 combined.  The closure search shares the seed, the derivatives and the
 polynomial product; it differs in how polarizations are applied, in the
@@ -84,7 +90,9 @@ from spanrep.oracle import (
     GradedDecomposition,
     _apply_varperm,
     _bounded_monomials,
+    _invariant_basis,
     _multidegree_basis,
+    _span_piece,
     complete_sym,
     elementary_sym,
     monomials_of_degree,
@@ -304,6 +312,38 @@ def super_ideal_basis(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
                     if vec:
                         ideal.insert(vec)
     return ideal
+
+
+@cache
+def super_ideal_step(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
+    """Multidegree (alpha, beta) piece of the superspace coinvariant ideal:
+    its invariants plus each degree-one generator of a batch times every
+    row of the piece one step below in that batch, or its unit rows when
+    one of those pieces is full."""
+    md, m = alpha + beta, len(alpha)
+    if not any(md):
+        return EchelonBasis()
+    monomials = _multidegree_basis(n, alpha, beta)
+    below = []
+    for i, e in enumerate(md):
+        if not e:
+            continue
+        step = tuple(int(j == i) for j in range(len(md)))
+        lower = tuple(a - b for a, b in zip(md, step))
+        piece = super_ideal_step(n, lower[:m], lower[m:])
+        if piece.rank == len(_multidegree_basis(n, lower[:m], lower[m:])):
+            return _span_piece([{mono: 1} for mono in monomials], (), len(monomials))
+        below.append((step, piece))
+
+    def multiples():
+        for step, piece in below:
+            rows = piece.primitive_rows()
+            support = {mono for _, row in rows for mono in row}
+            for g in _multidegree_basis(n, step[:m], step[m:]):
+                times = {mono: t for mono in support if (t := mono_mul(g, mono))[0] is not None}
+                yield rows, times
+
+    return _span_piece(_invariant_basis(n, alpha, beta), multiples(), len(monomials))
 
 
 def signed_fixed_trace(n: int, alpha: tuple, beta: tuple, w: tuple) -> int:

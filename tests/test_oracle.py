@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 
 import reference
+from spanrep import oracle
 from spanrep.combinat import GradedPoly, Partition, partitions_of, syt_count, unpad
 from spanrep.errors import ScaleGuardError
 from spanrep.formula import grfrob_tableaux
@@ -400,10 +401,24 @@ def test_invariant_orbit_sums_match_full_symmetrization():
                 _assert_invariants_match_reference(n, (a,), (b,))
 
 
+def _assert_piece_matches(n, alpha, beta, expected):
+    piece = _super_ideal_basis(n, alpha, beta)
+    dim = len(_multidegree_basis(n, alpha, beta))
+    if piece is None:
+        # a full piece holds no rows; its reduced basis is the unit rows
+        assert expected.rank == dim, (n, alpha, beta)
+    else:
+        assert piece.rank < dim, (n, alpha, beta)  # full pieces are None
+        assert piece.primitive_rows() == expected.primitive_rows(), (n, alpha, beta)
+
+
 def _assert_ideal_matches_reference(n, alpha, beta):
     _assert_invariants_match_reference(n, alpha, beta)
-    got = _super_ideal_basis(n, alpha, beta).primitive_rows()
-    assert got == reference.super_ideal_basis(n, alpha, beta).primitive_rows(), (n, alpha, beta)
+    _assert_piece_matches(n, alpha, beta, reference.super_ideal_basis(n, alpha, beta))
+
+
+def _assert_ideal_matches_unpruned_step(n, alpha, beta):
+    _assert_piece_matches(n, alpha, beta, reference.super_ideal_step(n, alpha, beta))
 
 
 def _super_multidegrees(n, m, p):
@@ -433,6 +448,19 @@ def test_super_ideal_recursion_matches_cofactor_span_n4():
 
 
 @pytest.mark.parametrize("m, p", SUPER_BATCH_SHAPES)
+def test_super_ideal_chain_criterion_matches_unpruned_step(m, p):
+    for n in range(1, 4):
+        for alpha, beta in _super_multidegrees(n, m, p):
+            _assert_ideal_matches_unpruned_step(n, alpha, beta)
+
+
+def test_super_ideal_chain_criterion_matches_unpruned_step_n4():
+    for a in range(7):
+        for b in range(5):
+            _assert_ideal_matches_unpruned_step(4, (a,), (b,))
+
+
+@pytest.mark.parametrize("m, p", SUPER_BATCH_SHAPES)
 def test_super_coinvariants_match_traced_reference_quotient(m, p):
     # pieces the ideal fills skip the trace readout; the reference traces
     # every piece, so the empty expansions are compared too
@@ -445,24 +473,47 @@ def test_super_coinvariants_match_traced_reference_quotient(m, p):
     assert empty
 
 
-def test_super_coinvariants_skip_what_full_pieces_below_fill(monkeypatch):
-    # the `explore --problem zabrocki-t0` loop up to n = 4 made 15,259 inserts
-    # before full pieces were recognised, and makes 6,101 now
+def _count_zabrocki_inserts(monkeypatch):
+    """(invariant inserts, product inserts, rank the products grew) over
+    the `explore --problem zabrocki-t0` loop up to n = 4."""
     _super_ideal_basis.cache_clear()
-    calls = 0
+    invariants = []  # kept alive, so no product can reuse one's identity
+    counts = {"invariants": 0, "products": 0, "grown": 0}
     insert = EchelonBasis.insert
 
-    def counted(self, vec):
-        nonlocal calls
-        calls += 1
-        return insert(self, vec)
+    def tagged(n, alpha, beta):
+        sums = _invariant_basis(n, alpha, beta)
+        invariants.extend(sums)
+        return sums
 
+    def counted(self, vec):
+        product = all(vec is not v for v in invariants)
+        grew = insert(self, vec)
+        counts["products" if product else "invariants"] += 1
+        counts["grown"] += product and grew
+        return grew
+
+    monkeypatch.setattr(oracle, "_invariant_basis", tagged)
     monkeypatch.setattr(EchelonBasis, "insert", counted)
     for n in range(1, 5):
         for b in range(n + 1):
             for a in range(n * (n - 1) // 2 + 1):
                 decompose_super_coinvariants(n, 1, 1, (a,), (b,))
-    assert calls <= 6_500, calls
+    return counts["invariants"], counts["products"], counts["grown"]
+
+
+def test_super_coinvariants_skip_what_full_pieces_below_fill(monkeypatch):
+    # the loop made 15,259 inserts before full pieces were recognised,
+    # 6,101 before the chain criterion and full pieces without rows, and
+    # makes 1,826 now (131 invariants, 1,695 products)
+    invariants, products, _ = _count_zabrocki_inserts(monkeypatch)
+    assert invariants + products <= 1_830, (invariants, products)
+
+
+def test_super_ideal_products_stay_near_the_rank_they_grow(monkeypatch):
+    # 1,695 product inserts for 1,373 of rank; 4,032 before the chain criterion
+    _, products, grown = _count_zabrocki_inserts(monkeypatch)
+    assert products <= 1.3 * grown, (products, grown)
 
 
 def test_super_coinvariants_scale_guard():
@@ -590,7 +641,7 @@ def test_ideal_pieces_insert_little_beyond_their_rank(n, k, monkeypatch):
 
 def test_finished_ideal_pieces_keep_no_insertion_index():
     assert all(piece._holders is None for piece in _piece_chain(2, 2, 3))
-    assert _super_ideal_basis(2, (1,), (1,))._holders is None
+    assert _super_ideal_basis(3, (1,), (1,))._holders is None
 
 
 def test_grassmann_validation_and_guard():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from spanrep.cli import _closure_z_slice
 from spanrep.combinat import GradedPoly, Partition
 from spanrep.errors import ScaleGuardError
 from spanrep.linalg import EchelonBasis
@@ -410,6 +411,19 @@ def test_dual_readout_matches_full_closure(n, k):
     expected = full_closure_tables(n, 1, 1, k)[1]
     assert tables == expected
     assert list(tables) == list(expected)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
+def test_top_theta_slice_from_theta_degree_zero(n, k):
+    # the explore experiments read the theta-degree n - k slice off the
+    # theta-degree-0 pieces and their duals
+    expected = {}
+    for ((a,), (b,)), exp in full_closure_tables(n, 1, 1, k)[1].items():
+        if b == n - k:
+            for lam, poly in exp.items():
+                bump = poly * GradedPoly.term(1, q=a)
+                expected[lam] = expected.get(lam, GradedPoly.zero()) + bump
+    assert _closure_z_slice(n, k) == SchurExpansion(n, expected)
 
 
 def test_dual_readout_checks_the_top_theta_chain(monkeypatch):
