@@ -26,7 +26,6 @@ from .formula import (
     Elementary,
     FixedCodim,
     FixedK,
-    GradedFrobenius,
     Homogeneous,
     delta_eigenvalue,
     grfrob_tableaux,
@@ -34,7 +33,6 @@ from .formula import (
     stable_multiplicity,
 )
 from .oracle import (
-    GradedDecomposition,
     character_on_quotient,
     complete_sym,
     decompose_coinvariants,
@@ -64,6 +62,7 @@ from .superspace import (
 )
 from .symfun import (
     ClassFunction,
+    GradedFrobenius,
     SchurExpansion,
     dimension,
     expansion_character,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .cache import ENV_CACHE_DIR, cache_get, cache_key, cache_put, write_atomic
-from .combinat import GradedPoly, Partition
+from .combinat import Partition
 from .errors import ScaleGuardError
 from .formula import FixedCodim, FixedK, grfrob_tableaux
 from .oracle import (
@@ -26,6 +26,7 @@ from .oracle import (
     grassmann_quotient,
 )
 from .serialize import (
+    degree_table_from_json,
     degree_table_to_json,
     envelope_bytes,
     expansion_to_json,
@@ -47,7 +48,7 @@ from .superspace import (
     harmonic_closure,
     vandermonde_derivative_identity,
 )
-from .symfun import SchurExpansion, omega, q_reverse
+from .symfun import SchurExpansion, omega, q_graded, q_reverse
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -115,17 +116,21 @@ def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> d
     }
 
 
-def _printable_frobenius(payload) -> bool:
-    """Whether a cached payload has every field cmd_frobenius prints."""
+def _printable_frobenius(payload, n: int, source: str) -> bool:
+    """Whether a cached payload holds a diff list and, for exactly the
+    sources that source names, degree tables of S_n that parse."""
     if not isinstance(payload, dict) or not isinstance(payload.get("diff"), list):
         return False
     sources = payload.get("sources")
-    fields = {"degree", "shape", "coeff"}
-    return isinstance(sources, dict) and all(
-        isinstance(rows, list)
-        and all(isinstance(row, dict) and fields <= row.keys() for row in rows)
-        for rows in sources.values()
-    )
+    names = {"formula", "oracle"} if source == "both" else {source}
+    if not isinstance(sources, dict) or set(sources) != names:
+        return False
+    try:
+        for rows in sources.values():
+            degree_table_from_json(rows, n)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
 
 
 def cmd_frobenius(args) -> int:
@@ -138,7 +143,7 @@ def cmd_frobenius(args) -> int:
     envelope = None
     if cache_dir is not None:
         status, cached = cache_get(cache_dir, key)
-        if status == "hit" and not _printable_frobenius(cached["payload"]):
+        if status == "hit" and not _printable_frobenius(cached["payload"], n, args.source):
             status = "corrupt"
         if status == "corrupt":
             print("warning: corrupt cache entry, recomputing", file=sys.stderr)
@@ -297,14 +302,8 @@ def _closure_z_slice(n: int, k: int) -> SchurExpansion:
     capped = harmonic_closure(n, 1, 1, k, theta_cap=0)
     low = {md: basis for md, basis in capped.spaces.items() if md[1] == (0,)}
     tables = frobenius_of_closure(n, 1, 1, k, closure=ClosureSpace(n, 1, 1, k, low))
-    coeffs: dict[Partition, GradedPoly] = {}
-    for (alpha, beta), exp in tables.items():
-        if beta[0] != n - k:
-            continue
-        for lam, poly in exp.items():
-            bump = poly * GradedPoly.term(1, q=alpha[0])
-            coeffs[lam] = coeffs.get(lam, GradedPoly.zero()) + bump
-    return SchurExpansion(n, coeffs)
+    slice_by_x = {alpha[0]: exp for (alpha, beta), exp in tables.items() if beta[0] == n - k}
+    return q_graded(n, slice_by_x)
 
 
 def _explore_rw_twist(n: int) -> dict:
@@ -330,7 +329,7 @@ def _explore_zabrocki_t0(n: int) -> dict:
     # bigraded table of the superspace coinvariant quotient
     top_x = n * (n - 1) // 2  # x-degrees are bounded by the coinvariant top degree
     r_entries = []
-    quotient_by_theta: dict[int, SchurExpansion] = {}
+    by_theta: dict[int, dict[int, SchurExpansion]] = {}
     for b in range(n + 1):
         for a in range(top_x + 1):
             exp = decompose_super_coinvariants(n, 1, 1, (a,), (b,))
@@ -338,9 +337,7 @@ def _explore_zabrocki_t0(n: int) -> dict:
                 r_entries.append(
                     {"x_degree": a, "theta_degree": b, "expansion": expansion_to_json(exp)}
                 )
-                graded = exp.scaled(GradedPoly.term(1, q=a))
-                prev = quotient_by_theta.get(b, SchurExpansion(n))
-                quotient_by_theta[b] = prev + graded
+                by_theta.setdefault(b, {})[a] = exp
     # assembled theta-degree slices of the closure spaces
     v_entries = []
     agrees = True
@@ -349,7 +346,7 @@ def _explore_zabrocki_t0(n: int) -> dict:
         v_entries.append(
             {"k": k, "theta_degree": n - k, "expansion": expansion_to_json(v_slice)}
         )
-        if quotient_by_theta.get(n - k, SchurExpansion(n)) != v_slice:
+        if q_graded(n, by_theta.get(n - k, {})) != v_slice:
             agrees = False
     return {
         "kind": "experiment",

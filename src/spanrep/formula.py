@@ -30,7 +30,7 @@ from .combinat import (
     q_binomial,
     syt_enumerate,
 )
-from .symfun import SchurExpansion, dimension
+from .symfun import GradedFrobenius, SchurExpansion
 
 __all__ = [
     "Elementary",
@@ -43,45 +43,6 @@ __all__ = [
     "shape_multiplicity",
     "stable_multiplicity",
 ]
-
-
-@dataclass(frozen=True)
-class GradedFrobenius:
-    """Graded Frobenius image, indexed by half cohomological degree s."""
-
-    n: int
-    k: int
-    by_degree: dict[int, SchurExpansion]
-
-    def degrees(self) -> list[int]:
-        return sorted(self.by_degree)
-
-    def top_degree(self) -> int:
-        return max(self.by_degree, default=-1)
-
-    def coefficient(self, s: int, lam: Partition) -> GradedPoly:
-        exp = self.by_degree.get(s)
-        return exp.coefficient(lam) if exp is not None else GradedPoly.zero()
-
-    def dims(self) -> dict[int, int]:
-        return {s: int(dimension(exp).evaluate()) for s, exp in sorted(self.by_degree.items())}
-
-    def total_dimension(self) -> int:
-        return sum(self.dims().values())
-
-    def hilbert(self) -> GradedPoly:
-        out = GradedPoly.zero()
-        for s, d in self.dims().items():
-            out = out + GradedPoly.term(d, q=s)
-        return out
-
-    def as_q_expansion(self) -> SchurExpansion:
-        """The same data as one expansion with q-polynomial coefficients."""
-        coeffs: dict[Partition, GradedPoly] = {}
-        for s, exp in self.by_degree.items():
-            for lam, poly in exp.items():
-                coeffs[lam] = coeffs.get(lam, GradedPoly.zero()) + poly * GradedPoly.term(1, q=s)
-        return SchurExpansion(self.n, coeffs)
 
 
 def grfrob_tableaux(n: int, k: int) -> GradedFrobenius:

@@ -35,7 +35,6 @@ quotients refuse n > 5.  These fail loudly rather than thrash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import (
     accumulate,
@@ -48,14 +47,13 @@ from itertools import (
 from math import prod
 from operator import itemgetter
 
-from .combinat import GradedPoly, Partition, perm_of_type
+from .combinat import Partition, perm_of_type
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, stable_trace
 from .superspace import SuperMonomial, apply_perm, mono_mul, subscript_coordinate
-from .symfun import SchurExpansion, dimension, schur_from_traces
+from .symfun import GradedFrobenius, SchurExpansion, dimension, schur_from_traces
 
 __all__ = [
-    "GradedDecomposition",
     "character_on_quotient",
     "complete_sym",
     "decompose_coinvariants",
@@ -70,16 +68,14 @@ __all__ = [
 COMMUTING_MAX_N = 7
 # Largest truncated piece A_d the line and d-plane oracles will span, in
 # monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
-# up to k = 5 (8,135; `decompose_coinvariants(7, 5)` takes about 5 s and
-# 100 MB max RSS on a 2-vCPU Xeon VM, 17 s and 116 MB without the chain
-# criterion of _ideal_piece); it refuses (7,6) at 24,017 and (7,7) at
-# 60,691.  For d-planes it admits (2,4,4) at 8,092 and refuses (2,4,5) at
-# 38,165.
+# up to k = 5 (8,135; `decompose_coinvariants(7, 5)`, the largest admitted
+# request, takes about 5 s and 100 MB max RSS on a 2-vCPU Xeon VM); it
+# refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
+# (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
-# Superspace quotients: at n = 5, `spanrep explore --problem zabrocki-t0
-# --n 5` takes about 5 s and 51 MB max RSS on a 2-vCPU Xeon VM (14 s and
-# 94 MB without the chain criterion of _super_ideal_basis, 42 s and 158 MB
-# when full ideal pieces were still spanned and traced).
+# Superspace quotients admit n <= 5 and refuse n = 6.  The largest admitted
+# request, `spanrep explore --problem zabrocki-t0 --n 5`, takes about 5 s
+# and 51 MB max RSS on a 2-vCPU Xeon VM.
 SUPER_QUOTIENT_MAX_N = 5
 
 Poly = dict  # exponent tuple -> int coefficient
@@ -330,31 +326,7 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     return _count_fixed_monomials(rho.parts, k, d) - ideal_trace
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Per-degree Schur decompositions plus raw dimensions."""
-
-    by_degree: dict[int, SchurExpansion] = field(default_factory=dict)
-    dims: dict[int, int] = field(default_factory=dict)
-    truncated: bool = False
-
-    def degrees(self) -> list[int]:
-        return sorted(self.by_degree)
-
-    def top_degree(self) -> int:
-        return max(self.by_degree, default=-1)
-
-    def total_dimension(self) -> int:
-        return sum(self.dims.values())
-
-    def hilbert(self) -> GradedPoly:
-        out = GradedPoly.zero()
-        for d, dim in sorted(self.dims.items()):
-            out = out + GradedPoly.term(dim, q=d)
-        return out
-
-
-def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> GradedDecomposition:
+def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> GradedFrobenius:
     """Schur decomposition of every graded piece of the spanning-line quotient.
 
     Iterates degrees until the quotient piece vanishes at a degree past
@@ -367,7 +339,6 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     _check_commuting(n, k, max_degree)
     by_degree: dict[int, SchurExpansion] = {}
-    dims: dict[int, int] = {}
     d = 0
     truncated = False
     while True:
@@ -377,7 +348,6 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
             if int(dimension(exp).evaluate()) != dim:
                 raise RuntimeError(f"decomposition dimension mismatch at degree {d}")
             by_degree[d] = exp
-            dims[d] = dim
         saturated = dim == 0 and d >= n  # n is the top generator degree
         if saturated:
             break
@@ -385,7 +355,7 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
             truncated = True
             break
         d += 1
-    return GradedDecomposition(by_degree=by_degree, dims=dims, truncated=truncated)
+    return GradedFrobenius(n, k, by_degree, truncated)
 
 
 # -- superspace pieces -------------------------------------------------
@@ -649,9 +619,9 @@ def _apply_varperm(mono: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]
     return tuple(out)
 
 
-def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
-    """Per-degree dimensions and Schur decomposition for spanning d-plane
-    configurations, via the batch-symmetric quotient presentation.
+def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
+    """Per-degree Schur decomposition for spanning d-plane configurations,
+    via the batch-symmetric quotient presentation.
 
     The ideal in the d*n variables is generated by the top k elementary
     symmetric polynomials of all variables together with the complete
@@ -674,7 +644,6 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
     ]
 
     by_degree: dict[int, SchurExpansion] = {}
-    dims: dict[int, int] = {}
     below = ideal = None
     deg = 0
     while True:
@@ -701,8 +670,7 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
                     return stable_trace(invariants, coordinate)
 
                 by_degree[deg] = schur_from_traces(n, trace)
-                dims[deg] = invariants.rank
         if not standard and deg >= nvars:  # e_{d*n} is the top generator degree
             break
         deg += 1
-    return GradedDecomposition(by_degree=by_degree, dims=dims)
+    return GradedFrobenius(n, k, by_degree)

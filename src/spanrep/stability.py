@@ -23,6 +23,7 @@ from .formula import (
     stabilization_bound,
     stable_multiplicity,
 )
+from .oracle import decompose_coinvariants
 
 __all__ = [
     "MultiplicitySequence",
@@ -61,30 +62,16 @@ def _ambient_k(mode: Mode, n: int) -> int:
     return mode.k if isinstance(mode, FixedK) else n - mode.m
 
 
-def _one_multiplicity_formula(mu: Partition, s: int, k: int, n: int) -> int:
-    if k < 1 or k > n:
-        return 0  # empty configuration space
+def _multiplicity(mu: Partition, s: int, k: int, n: int, source: str) -> int:
     try:
         lam = pad(mu, n)
     except PaddingError:
         return 0  # padding infeasible: multiplicity is zero by convention
-    return shape_multiplicity(lam, k, s)
-
-
-def _one_multiplicity_oracle(mu: Partition, s: int, k: int, n: int) -> int:
-    from .oracle import decompose_coinvariants
-
-    if k < 1 or k > n or s < 0:
-        return 0
-    try:
-        lam = pad(mu, n)
-    except PaddingError:
-        return 0
-    dec = decompose_coinvariants(n, k, max_degree=s)
-    exp = dec.by_degree.get(s)
-    if exp is None:
-        return 0
-    return exp.coefficient(lam).coefficient()
+    if not 1 <= k <= n or s < 0:
+        return 0  # empty configuration space, or no such degree
+    if source == "formula":
+        return shape_multiplicity(lam, k, s)
+    return decompose_coinvariants(n, k, max_degree=s).coefficient(s, lam).coefficient()
 
 
 def multiplicity_sequence(
@@ -107,15 +94,11 @@ def multiplicity_sequence(
     values = []
     truncated_at = None
     for n in range(1, n_max + 1):
-        k = _ambient_k(mode, n)
-        if source == "formula":
-            values.append((n, _one_multiplicity_formula(mu, s, k, n)))
-        else:
-            try:
-                values.append((n, _one_multiplicity_oracle(mu, s, k, n)))
-            except ScaleGuardError:
-                truncated_at = n
-                break
+        try:
+            values.append((n, _multiplicity(mu, s, _ambient_k(mode, n), n, source)))
+        except ScaleGuardError:  # only the oracle has scale guards
+            truncated_at = n
+            break
     return MultiplicitySequence(mu, s, mode, tuple(values), truncated_at)
 
 

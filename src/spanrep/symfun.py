@@ -25,11 +25,13 @@ from .errors import NotACharacterError
 
 __all__ = [
     "ClassFunction",
+    "GradedFrobenius",
     "SchurExpansion",
     "dimension",
     "expansion_character",
     "irr_character",
     "omega",
+    "q_graded",
     "q_reverse",
     "schur_decompose",
     "schur_from_traces",
@@ -134,20 +136,58 @@ class SchurExpansion:
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self._coeffs.items())))
 
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if self.n != other.n:
-            raise ValueError("cannot add expansions of different degrees")
-        out = dict(self._coeffs)
-        for lam, poly in other._coeffs.items():
-            out[lam] = out.get(lam, GradedPoly.zero()) + poly
-        return SchurExpansion(self.n, out)
-
-    def scaled(self, factor: GradedPoly | int) -> "SchurExpansion":
-        return SchurExpansion(self.n, {lam: poly * factor for lam, poly in self._coeffs.items()})
-
     def __repr__(self) -> str:
         body = ", ".join(f"s{list(l.parts)}: {p.as_str()}" for l, p in self.items())
         return f"SchurExpansion(n={self.n}, {{{body}}})"
+
+
+@dataclass(frozen=True)
+class GradedFrobenius:
+    """Graded Frobenius image of a spanning configuration ring, one Schur
+    expansion per half cohomological degree s that holds any.
+
+    The tableau formula and the quotient-ring oracles both return it;
+    truncated marks a table cut at a maximum degree.
+    """
+
+    n: int
+    k: int
+    by_degree: dict[int, SchurExpansion]
+    truncated: bool = False
+
+    def degrees(self) -> list[int]:
+        return sorted(self.by_degree)
+
+    def top_degree(self) -> int:
+        return max(self.by_degree, default=-1)
+
+    def coefficient(self, s: int, lam: Partition) -> GradedPoly:
+        exp = self.by_degree.get(s)
+        return exp.coefficient(lam) if exp is not None else GradedPoly.zero()
+
+    @property
+    def dims(self) -> dict[int, int]:
+        """Dimension of each degree, read off its expansion."""
+        return {s: int(dimension(exp).evaluate()) for s, exp in sorted(self.by_degree.items())}
+
+    def total_dimension(self) -> int:
+        return sum(self.dims.values())
+
+    def hilbert(self) -> GradedPoly:
+        return GradedPoly({(s, 0, 0): d for s, d in self.dims.items()})
+
+    def as_q_expansion(self) -> SchurExpansion:
+        """The same data as one expansion with q-polynomial coefficients."""
+        return q_graded(self.n, self.by_degree)
+
+
+def q_graded(n: int, by_degree: dict[int, SchurExpansion]) -> SchurExpansion:
+    """The sum over s of q^s times by_degree[s]."""
+    coeffs: dict[Partition, GradedPoly] = {}
+    for s, exp in by_degree.items():
+        for lam, poly in exp.items():
+            coeffs[lam] = coeffs.get(lam, GradedPoly.zero()) + poly * GradedPoly.term(1, q=s)
+    return SchurExpansion(n, coeffs)
 
 
 @cache

@@ -87,7 +87,6 @@ from spanrep.combinat import (
 from spanrep.errors import NotACharacterError
 from spanrep.linalg import EchelonBasis, stable_trace
 from spanrep.oracle import (
-    GradedDecomposition,
     _apply_varperm,
     _bounded_monomials,
     _invariant_basis,
@@ -107,7 +106,13 @@ from spanrep.superspace import (
     subscript_coordinate,
     superspace_vandermonde,
 )
-from spanrep.symfun import ClassFunction, SchurExpansion, irr_character, schur_from_traces
+from spanrep.symfun import (
+    ClassFunction,
+    GradedFrobenius,
+    SchurExpansion,
+    irr_character,
+    schur_from_traces,
+)
 
 _ZERO = Fraction(0)
 
@@ -404,11 +409,12 @@ def grassmann_ideal(d: int, n: int, k: int, deg: int) -> EchelonBasis:
     return _ideal_step(prev, gens, d * n, deg, deg + 1)
 
 
-def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
+def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     """The batch-symmetric quotient presentation of spanning d-plane
     configurations in the full ring, its invariants formed image by image:
     for each standard monomial, the residual of every within-batch image,
-    summed."""
+    summed.  Each degree's dimension is the rank of its invariants, and it
+    must equal the dimension read off that degree's expansion."""
     nvars = d * n
     group = batch_group(d, n)
     by_degree, dims = {}, {}
@@ -444,7 +450,9 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedDecomposition:
         if not standard and deg >= nvars:
             break
         deg += 1
-    return GradedDecomposition(by_degree=by_degree, dims=dims)
+    table = GradedFrobenius(n, k, by_degree)
+    assert table.dims == dims, (d, n, k, dims, table.dims)
+    return table
 
 
 def shape_multiplicity(lam: Partition, k: int, s: int) -> int:

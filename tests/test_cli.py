@@ -232,16 +232,38 @@ def test_cache_entry_from_before_the_formula_cut_is_not_served(capsys, tmp_path)
     assert {row["degree"] for row in json_out(out)["payload"]["sources"]["formula"]} == {0, 1}
 
 
-def test_cache_entry_without_printed_fields_is_corrupt(capsys, tmp_path):
-    run_cli(capsys, "frobenius", "3", "2", "--cache-dir", str(tmp_path))
+@pytest.mark.parametrize(
+    "flags, corrupt",
+    [
+        pytest.param((), lambda p: p.pop("diff"), id="no-diff"),
+        pytest.param(
+            ("--format", "csv"),
+            lambda p: p["sources"]["formula"][0].update(coeff=[[[0, 0], "1"]]),
+            id="two-exponent-coeff",
+        ),
+        pytest.param((), lambda p: p["sources"]["formula"][0].update(coeff=5), id="scalar-coeff"),
+        pytest.param(
+            (), lambda p: p["sources"]["formula"][0].update(shape=[5]), id="shape-of-other-n"
+        ),
+        pytest.param(
+            ("--source", "both"), lambda p: p["sources"].pop("oracle"), id="both-without-oracle"
+        ),
+    ],
+)
+def test_cache_entry_without_printed_fields_is_corrupt(capsys, tmp_path, flags, corrupt):
+    argv = ("frobenius", "3", "2", *flags, "--cache-dir", str(tmp_path))
+    _, fresh, _ = run_cli(capsys, *argv)
     entry = next(tmp_path.glob("*.json"))
     env = json.loads(entry.read_bytes())
-    del env["payload"]["diff"]
+    corrupt(env["payload"])
     entry.write_bytes(envelope_bytes(env))
-    code, out, err = run_cli(capsys, "frobenius", "3", "2", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0
-    assert "corrupt" in err and "Traceback" not in err
-    assert json_out(out)["payload"]["diff"] == []
+    assert "corrupt cache entry, recomputing" in err and "Traceback" not in err
+    if "csv" in flags:
+        assert out == fresh
+    else:
+        assert json_out(out)["payload"] == json_out(fresh)["payload"]
 
 
 def test_verify_cache_accepts_good_entry(capsys, tmp_path):

@@ -40,7 +40,7 @@ def test_grfrob_3_2():
         1: exp_of(3, ((3,), 1), ((2, 1), 1)),
         2: exp_of(3, ((2, 1), 1)),
     }
-    assert g.dims() == {0: 1, 1: 3, 2: 2}
+    assert g.dims == {0: 1, 1: 3, 2: 2}
     assert g.total_dimension() == 6
 
 

@@ -158,6 +158,14 @@ def test_decompose_point_case():
         assert dec.dims == {0: 1}
 
 
+def test_decompose_dims_are_the_quotient_ranks():
+    # dims is read off the Schur expansions; the quotient pieces count it directly
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            ranks = {d: quotient_basis(n, k, d)[0] for d in range(n * (k - 1) + 1)}
+            assert decompose_coinvariants(n, k).dims == {d: r for d, r in ranks.items() if r}
+
+
 def test_decompose_matches_formula_small():
     for n in range(1, 5):
         for k in range(1, n + 1):
