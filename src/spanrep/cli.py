@@ -80,6 +80,20 @@ def _cache_dir(args) -> str | None:
 # -- frobenius ----------------------------------------------------------
 
 
+def _table_diff(sources: dict) -> list[dict]:
+    """The (degree, shape) entries whose coefficients differ between the
+    formula and oracle tables, sorted; empty unless both are present."""
+    if set(sources) != {"formula", "oracle"}:
+        return []
+    f_entries = {(r["degree"], tuple(r["shape"])): r["coeff"] for r in sources["formula"]}
+    o_entries = {(r["degree"], tuple(r["shape"])): r["coeff"] for r in sources["oracle"]}
+    return [
+        {"degree": key[0], "shape": list(key[1]), "formula": fc, "oracle": oc}
+        for key in sorted(set(f_entries) | set(o_entries))
+        if (fc := f_entries.get(key)) != (oc := o_entries.get(key))
+    ]
+
+
 def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> dict:
     sources: dict[str, list] = {}
     if source in ("formula", "both"):
@@ -90,36 +104,20 @@ def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> d
     if source in ("oracle", "both"):
         dec = decompose_coinvariants(n, k, max_degree=max_degree)
         sources["oracle"] = degree_table_to_json(dec.by_degree)
-    diff: list[dict] = []
-    if source == "both":
-        f_entries = {(r["degree"], tuple(r["shape"])): r["coeff"] for r in sources["formula"]}
-        o_entries = {(r["degree"], tuple(r["shape"])): r["coeff"] for r in sources["oracle"]}
-        for key in sorted(set(f_entries) | set(o_entries)):
-            fc = f_entries.get(key)
-            oc = o_entries.get(key)
-            if fc != oc:
-                diff.append(
-                    {
-                        "degree": key[0],
-                        "shape": list(key[1]),
-                        "formula": fc,
-                        "oracle": oc,
-                    }
-                )
     return {
         "kind": "frobenius_table",
         "n": n,
         "k": k,
         "max_degree": max_degree,
         "sources": sources,
-        "diff": diff,
+        "diff": _table_diff(sources),
     }
 
 
 def _printable_frobenius(payload, n: int, source: str) -> bool:
-    """Whether a cached payload holds a diff list and, for exactly the
-    sources that source names, degree tables of S_n that parse."""
-    if not isinstance(payload, dict) or not isinstance(payload.get("diff"), list):
+    """Whether a cached payload holds, for exactly the sources that source
+    names, degree tables of S_n that parse, and the diff those tables give."""
+    if not isinstance(payload, dict):
         return False
     sources = payload.get("sources")
     names = {"formula", "oracle"} if source == "both" else {source}
@@ -128,9 +126,9 @@ def _printable_frobenius(payload, n: int, source: str) -> bool:
     try:
         for rows in sources.values():
             degree_table_from_json(rows, n)
+        return payload.get("diff") == _table_diff(sources)
     except (KeyError, TypeError, ValueError):
         return False
-    return True
 
 
 def cmd_frobenius(args) -> int:

@@ -15,7 +15,10 @@ formed until a caller reads one.
 The basis is kept *fully* reduced: each pivot column is zero in every
 other row.  That is what lets callers read coordinates of a subspace
 vector directly off the pivot columns, which is how :func:`stable_trace`
-computes traces on invariant subspaces.
+computes traces on invariant subspaces.  It also makes the non-pivot
+columns a basis of the quotient by the span, each pivot being minus its
+row's non-pivot entries there, so :func:`quotient_trace` reads a trace on
+the quotient off whichever is smaller: the rows or the non-pivot columns.
 """
 
 from __future__ import annotations
@@ -26,9 +29,16 @@ from math import gcd, lcm
 Vector = dict  # column key -> int or Fraction
 
 
+_INT = frozenset({int})
+
+
 def _integer_vector(vec: Vector) -> dict:
-    """vec scaled by the lcm of its denominators, zero entries dropped."""
-    den = lcm(*(c.denominator for c in vec.values()))
+    """vec scaled by the lcm of its denominators, zero entries dropped; a
+    new dict, which the caller may mutate."""
+    values = vec.values()
+    if set(map(type, values)) <= _INT:  # plain ints: nothing to scale
+        return dict(vec) if all(values) else {k: c for k, c in vec.items() if c}
+    den = lcm(*(c.denominator for c in values))
     if den == 1:
         return {k: int(c) for k, c in vec.items() if c}
     return {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
@@ -50,6 +60,12 @@ class EchelonBasis:
 
     def pivots(self) -> list:
         return sorted(self._rows)
+
+    def non_pivots(self, columns) -> list:
+        """The given columns that are not pivots, in their order.  Over all
+        columns of the space, a basis of its quotient by the span."""
+        rows = self._rows
+        return [c for c in columns if c not in rows]
 
     def primitive_rows(self) -> list[tuple[object, dict]]:
         """(pivot, row) pairs in pivot order, rows as stored: primitive
@@ -162,21 +178,82 @@ class EchelonBasis:
         return not v
 
 
+def _exact_total(fixed: int, by_pivot_coeff: dict) -> int:
+    """fixed plus the sum of s / a over the (a, s) items of by_pivot_coeff,
+    with no Fraction formed for a = 1.  A trace on a stable span or its
+    quotient is an integer; anything else means the span was not stable,
+    which is raised rather than rounded."""
+    total = fixed + by_pivot_coeff.get(1, 0)
+    total += sum(Fraction(s) / a for a, s in by_pivot_coeff.items() if a != 1)
+    if total.denominator != 1:
+        raise RuntimeError(f"non-integer trace {total}: subspace not stable under the action")
+    return int(total)
+
+
 def stable_trace(basis: EchelonBasis, coordinate) -> int:
     """Trace of a linear map g on the span of basis, which g must preserve.
 
     coordinate(pivot, row) returns (g . row)[pivot] for a stored row.  As
     no other row has a pivot entry there, that value divided by the row's
     pivot coefficient is the coordinate of g . row along row itself, and
-    the trace is their sum.  An integer-valued map on a stable span has an
-    integer trace; anything else means the span was not stable, which is
-    raised rather than rounded.
+    the trace is their sum, which must be an integer for an
+    integer-valued map.
     """
     by_pivot_coeff: dict[int, object] = {}
     for p, row in basis._rows.items():
         a = row[p]
         by_pivot_coeff[a] = by_pivot_coeff.get(a, 0) + coordinate(p, row)
-    total = sum((Fraction(s) / a for a, s in by_pivot_coeff.items()), Fraction(0))
-    if total.denominator != 1:
-        raise RuntimeError(f"non-integer trace {total}: subspace not stable under the action")
-    return int(total)
+    return _exact_total(0, by_pivot_coeff)
+
+
+def _standard_side(basis: EchelonBasis, standard, image) -> int:
+    """Trace of g on (piece)/(span), summed over the non-pivot columns.
+
+    Modulo the span a pivot u is -(1/a_u) times the non-pivot part of its
+    row, a_u being its pivot coefficient.  So the diagonal coordinate at a
+    non-pivot m is sign when g . m = sign * m, -sign * row_u[m] / a_u when
+    g . m = sign * u, and 0 when g . m is another non-pivot.
+    """
+    rows = basis._rows
+    fixed = 0
+    by_pivot_coeff: dict[int, int] = {}
+    for m, (key, sign) in zip(standard, image(standard)):
+        if key == m:
+            fixed += sign
+        elif (row := rows.get(key)) is not None and (c := row.get(m)):
+            a = row[key]
+            by_pivot_coeff[a] = by_pivot_coeff.get(a, 0) - sign * c
+    return _exact_total(fixed, by_pivot_coeff)
+
+
+def _row_side(basis: EchelonBasis, image, whole: int) -> int:
+    """Trace of g^{-1} on (piece)/(span): whole, which is also the trace
+    of g^{-1} on the piece (g and g^{-1} fix the same columns with the
+    same signs), minus its trace on the span, read as in
+    :func:`stable_trace` with (g^{-1} . row)[pivot] = sign * row[key] for
+    g . pivot = sign * key."""
+    rows = basis._rows
+    by_pivot_coeff: dict[int, int] = {}
+    for (p, row), (key, sign) in zip(rows.items(), image(rows)):
+        a = row[p]
+        by_pivot_coeff[a] = by_pivot_coeff.get(a, 0) + sign * row.get(key, 0)
+    return whole - _exact_total(0, by_pivot_coeff)
+
+
+def quotient_trace(basis: EchelonBasis, standard, image, whole: int) -> int:
+    """Trace of g on the quotient of a piece by the span of basis, which g
+    must preserve.
+
+    g permutes the piece's columns up to sign: image(columns) yields, for
+    each of the given columns in turn, the (key, sign) with
+    g . column = sign * key.  standard lists the piece's non-pivot columns
+    (:meth:`EchelonBasis.non_pivots`), and whole is the trace of g on the
+    piece.  The trace is read off the smaller side: the
+    non-pivot columns when there are fewer of them than rows
+    (:func:`_standard_side`), else the rows (:func:`_row_side`).  The
+    latter reads g^{-1}, whose trace is the same: g has finite order, so
+    the trace of g^{-1} is the complex conjugate of a rational number.
+    """
+    if len(standard) < basis.rank:
+        return _standard_side(basis, standard, image)
+    return _row_side(basis, image, whole)

@@ -21,10 +21,13 @@ None), and its quotient is zero, read without traces.
 Both invariant spaces, the diagonal ones and the Grassmann oracle's
 within-batch ones, are signed orbit sums of monomials, one per orbit
 (:func:`_orbit_sums`); disjoint supports make them independent as they are.
-Traces of permutations on quotients are (signed fixed monomials) minus
-the trace on the ideal subspace, the latter read off pivot coordinates
-of the reduced echelon basis (valid because the ideals are stable under
-the subscript action; tests exercise that stability directly).
+Traces of permutations on quotients are read off the smaller side of each
+piece (:func:`~spanrep.linalg.quotient_trace`): over the standard
+monomials, the non-pivots of the reduced echelon basis and a basis of
+the quotient, when they are fewer than the ideal rows; otherwise as the
+signed fixed monomials minus the trace on the ideal subspace, read off
+its pivot coordinates.  Both are valid because the ideals are stable
+under the subscript action; tests exercise that stability directly.
 
 Scale guards: the line and d-plane oracles refuse n > 7 (lines, or
 batches of d: both read characters of S_n) and any request whose largest
@@ -43,14 +46,15 @@ from itertools import (
     combinations_with_replacement,
     permutations,
     product,
+    repeat,
 )
 from math import prod
 from operator import itemgetter
 
 from .combinat import Partition, perm_of_type
 from .errors import ScaleGuardError
-from .linalg import EchelonBasis, stable_trace
-from .superspace import SuperMonomial, apply_perm, mono_mul, subscript_coordinate
+from .linalg import EchelonBasis, quotient_trace, stable_trace
+from .superspace import SuperMonomial, apply_perm, mono_mul
 from .symfun import GradedFrobenius, SchurExpansion, dimension, schur_from_traces
 
 __all__ = [
@@ -69,7 +73,7 @@ COMMUTING_MAX_N = 7
 # Largest truncated piece A_d the line and d-plane oracles will span, in
 # monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
 # up to k = 5 (8,135; `decompose_coinvariants(7, 5)`, the largest admitted
-# request, takes about 5 s and 100 MB max RSS on a 2-vCPU Xeon VM); it
+# request, takes about 3.5 s and 100 MB max RSS on a 2-vCPU Xeon VM); it
 # refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
 # (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
@@ -207,24 +211,25 @@ def _ideal_piece(
     if not rows:
         return _span_piece(gens, (), len(monomials))
     upper = {m: (m, 1) for m in monomials}
-    lower = _bounded_monomials(nvars, deg - 1, k)
     old = set(two_below.pivots()) if two_below is not None else set()
     parents = [
         [i for i in range(nvars) if p[i] and p[:i] + (p[i] - 1,) + p[i + 1 :] in old]
         for p, _ in rows
     ]
 
-    def kept(j):
-        return [
-            (p, row)
-            for (p, row), par in zip(rows, parents)
-            if not par or (par[0] >= j if p[j] < k - 1 else par == [j])
-        ]
+    def multiples():
+        for j in range(nvars):
+            kept = [
+                (p, row)
+                for (p, row), par in zip(rows, parents)
+                if not par or (par[0] >= j if p[j] < k - 1 else par == [j])
+            ]
+            support = {m for _, row in kept for m in row}
+            yield kept, {
+                m: t for m in support if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))
+            }
 
-    def times_x(j):
-        return {m: t for m in lower if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))}
-
-    return _span_piece(gens, ((kept(j), times_x(j)) for j in range(nvars)), len(upper))
+    return _span_piece(gens, multiples(), len(upper))
 
 
 @cache
@@ -233,6 +238,13 @@ def _ideal_basis(d: int, n: int, k: int, deg: int) -> EchelonBasis:
     below = _ideal_basis(d, n, k, deg - 1) if deg else None
     two_below = _ideal_basis(d, n, k, deg - 2) if deg >= 2 else None
     return _ideal_piece(d, n, k, deg, below, two_below)
+
+
+@cache
+def _standard_monomials(n: int, k: int, deg: int) -> list[tuple[int, ...]]:
+    """The monomials of A_deg that are not pivots of the line ideal's
+    piece: a basis of the degree-deg quotient, read by every cycle type."""
+    return _ideal_basis(1, n, k, deg).non_pivots(_bounded_monomials(n, deg, k))
 
 
 @cache
@@ -317,13 +329,16 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     if rho.size != n:
         raise ValueError(f"cycle type {rho.parts} is not a partition of {n}")
     _, basis = quotient_basis(n, k, d)
-    w = perm_of_type(rho, n)
-    # (w . row)[pivot] = row[w^{-1} . pivot]; exponents of the preimage
-    # monomial are read through w directly (at n = 1, w is the identity and
-    # a one-index itemgetter would return a scalar).
-    preimage = itemgetter(*w) if n > 1 else tuple
-    ideal_trace = stable_trace(basis, lambda pivot, row: row.get(preimage(pivot), 0))
-    return _count_fixed_monomials(rho.parts, k, d) - ideal_trace
+    # the exponents of a permuted monomial are read through w directly (at
+    # n = 1, w is the identity and a one-index itemgetter would return a
+    # scalar); the trace of w^{-1} is that of w
+    permute = itemgetter(*perm_of_type(rho, n)) if n > 1 else tuple
+    return quotient_trace(
+        basis,
+        _standard_monomials(n, k, d),
+        lambda monos: zip(map(permute, monos), repeat(1)),
+        _count_fixed_monomials(rho.parts, k, d),
+    )
 
 
 def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> GradedFrobenius:
@@ -601,10 +616,14 @@ def decompose_super_coinvariants(
     ideal = _super_ideal_basis(n, alpha, beta)
     if ideal is None:
         return SchurExpansion(n)
+    standard = ideal.non_pivots(_multidegree_basis(n, alpha, beta))
 
     def trace(rho):
-        coordinate = subscript_coordinate(perm_of_type(rho, n))
-        return _signed_fixed_trace(rho.parts, alpha, beta) - stable_trace(ideal, coordinate)
+        w = perm_of_type(rho, n)
+        whole = _signed_fixed_trace(rho.parts, alpha, beta)
+        return quotient_trace(
+            ideal, standard, lambda monos: map(apply_perm, monos, repeat(w)), whole
+        )
 
     return schur_from_traces(n, trace)
 
@@ -648,8 +667,7 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     deg = 0
     while True:
         below, ideal = ideal, _ideal_piece(d, n, k, deg, ideal, below)
-        pivot_set = set(ideal.pivots())
-        standard = [mm for mm in _bounded_monomials(nvars, deg, k) if mm not in pivot_set]
+        standard = ideal.non_pivots(_bounded_monomials(nvars, deg, k))
         if standard:
             # reduce is linear, so each orbit sum is reduced once
             invariants = EchelonBasis()

@@ -47,7 +47,15 @@ def poly_to_json(poly: GradedPoly) -> list:
 
 
 def poly_from_json(data: list) -> GradedPoly:
-    return GradedPoly({tuple(exps): int(c) for exps, c in data})
+    """Inverse of :func:`poly_to_json`; a coefficient that is not a decimal
+    string raises ValueError."""
+    return GradedPoly({tuple(exps): _decimal(c) for exps, c in data})
+
+
+def _decimal(text) -> int:
+    if not isinstance(text, str):
+        raise ValueError(f"coefficient must be a decimal string, got {text!r}")
+    return int(text)
 
 
 def partition_to_json(lam: Partition) -> list[int]:

@@ -248,6 +248,12 @@ def test_cache_entry_from_before_the_formula_cut_is_not_served(capsys, tmp_path)
         pytest.param(
             ("--source", "both"), lambda p: p["sources"].pop("oracle"), id="both-without-oracle"
         ),
+        pytest.param((), lambda p: p.update(diff=[{"bogus": 1}]), id="bogus-diff"),
+        pytest.param(
+            ("--format", "csv"),
+            lambda p: p["sources"]["formula"][0].update(coeff=[[[0, 0, 0], 1.5]]),
+            id="float-coeff",
+        ),
     ],
 )
 def test_cache_entry_without_printed_fields_is_corrupt(capsys, tmp_path, flags, corrupt):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import FractionEchelonBasis, pivot_trace
-from spanrep.linalg import EchelonBasis, stable_trace
+from spanrep.linalg import EchelonBasis, _row_side, _standard_side, quotient_trace, stable_trace
 
 NCOLS = 8
 
@@ -64,19 +64,45 @@ def _orbit(vec, sigma):
             return out
 
 
-@settings(max_examples=100, deadline=None)
-@given(systems, st.permutations(range(NCOLS)))
-def test_trace_readout_matches_fraction_reference(system, sigma):
-    # the span of whole sigma-orbits is sigma-stable, so the trace exists
+def _stable_spans(system, sigma):
+    """The span of the sigma-orbits of system's vectors, which is
+    sigma-stable, in the integer core and in the reference."""
     fast, ref = EchelonBasis(), FractionEchelonBasis()
     for vec in system:
         for img in _orbit(vec, sigma):
             fast.insert(img)
             ref.insert(img)
+    return fast, ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems, st.permutations(range(NCOLS)))
+def test_trace_readout_matches_fraction_reference(system, sigma):
+    fast, ref = _stable_spans(system, sigma)
     sigma_inv = {s: c for c, s in enumerate(sigma)}
     want = pivot_trace(ref, sigma_inv.__getitem__)
     assert want.denominator == 1
     assert stable_trace(fast, lambda p, row: row.get(sigma_inv[p], 0)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems, st.permutations(range(NCOLS)))
+def test_quotient_readout_matches_fraction_reference_on_each_side(system, sigma):
+    # each side is read in turn, whichever is smaller, and both must give
+    # the trace on the whole space minus the trace on the span
+    fast, ref = _stable_spans(system, sigma)
+    sigma_inv = {s: c for c, s in enumerate(sigma)}
+    fixed = sum(1 for c, s in enumerate(sigma) if c == s)
+    want = fixed - pivot_trace(ref, sigma_inv.__getitem__)
+    standard = fast.non_pivots(range(NCOLS))
+    assert standard == [c for c in range(NCOLS) if c not in ref.pivots()]
+
+    def image(columns):
+        return ((sigma[c], 1) for c in columns)
+
+    assert _standard_side(fast, standard, image) == want
+    assert _row_side(fast, image, fixed) == want
+    assert quotient_trace(fast, standard, image, fixed) == want
 
 
 def test_trace_readout_rejects_an_unstable_span():
@@ -85,6 +111,33 @@ def test_trace_readout_rejects_an_unstable_span():
     swap = {0: 1, 1: 0}
     with pytest.raises(RuntimeError, match="non-integer trace"):
         stable_trace(basis, lambda p, row: row.get(swap[p], 0))
+    # the quotient is spanned by column 1, which the swap sends to the pivot
+    with pytest.raises(RuntimeError, match="non-integer trace"):
+        _standard_side(basis, basis.non_pivots(range(2)), lambda cs: ((swap[c], 1) for c in cs))
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        pytest.param({0: 3, 1: 0, 2: -2, 3: 0}, id="ints-with-zeros"),
+        pytest.param({0: 3, 1: 4, 2: -2}, id="ints"),
+        pytest.param({2: 1, 3: 4}, id="ints-stored-as-given"),
+        pytest.param({0: True, 1: False, 3: True}, id="bools"),
+        pytest.param({0: Fraction(1, 2), 1: 2, 2: 0, 3: Fraction(-3, 4)}, id="mixed-fractions"),
+    ],
+)
+@pytest.mark.parametrize("method", ["insert", "contains", "reduce"])
+def test_readers_leave_their_argument_unchanged(vec, method):
+    # callers such as harmonic_closure keep the dicts they insert
+    vec = dict(vec)  # the parameter is shared by every method's case
+    basis = EchelonBasis()
+    basis.insert({0: 2, 2: 5})
+    basis.insert({1: 3, 3: 1})
+    before = [(k, type(c), c) for k, c in vec.items()]
+    getattr(basis, method)(vec)
+    # a later insert back-substitutes into every row holding column 2
+    basis.insert({2: 1})
+    assert [(k, type(c), c) for k, c in vec.items()] == before
 
 
 def test_reduce_is_exact_against_non_unit_pivots():

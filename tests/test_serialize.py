@@ -3,6 +3,7 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spanrep.combinat import GradedPoly, partitions_of
@@ -110,3 +111,9 @@ def test_coefficients_survive_as_strings():
     rows = [[[0, 0, 0], str(big)]]
     data = json.loads(json.dumps(rows))
     assert poly_from_json(data).coefficient() == big
+
+
+@pytest.mark.parametrize("coeff", [1.5, 3, True, None])
+def test_coefficients_that_are_not_strings_are_rejected(coeff):
+    with pytest.raises(ValueError, match="decimal string"):
+        poly_from_json([[[0, 0, 0], coeff]])
