@@ -30,6 +30,9 @@ def main() -> int:
     runs.append(["explore", "--problem", "zabrocki-t0", "--n", "4"])
     runs.append(["explore", "--problem", "grassmann", "--d", "2", "--n", "2", "--k", "2"])
     runs.append(["explore", "--problem", "grassmann", "--d", "2", "--n", "2", "--k", "3"])
+    # d = 3, and batch permutations with cycles longer than one
+    runs.append(["explore", "--problem", "grassmann", "--d", "3", "--n", "2", "--k", "4"])
+    runs.append(["explore", "--problem", "grassmann", "--d", "2", "--n", "4", "--k", "3"])
 
     worst = 0
     for argv in runs:

@@ -25,12 +25,12 @@ __all__ = [
     "Partition",
     "StandardTableau",
     "count_partitions_bounded",
+    "cycle_type",
     "des",
     "des_maj_counts",
     "maj",
     "pad",
     "partitions_of",
-    "perm_inverse",
     "perm_of_type",
     "q_binomial",
     "syt_count",
@@ -246,11 +246,19 @@ def perm_of_type(rho: Partition, n: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def perm_inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for i, wi in enumerate(w):
-        inv[wi] = i
-    return tuple(inv)
+def cycle_type(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle lengths of w (w[i] = image), largest first."""
+    seen = [False] * len(w)
+    lengths = []
+    for i in range(len(w)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = w[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def pad(mu: Partition, n: int) -> Partition:

@@ -19,6 +19,9 @@ computes traces on invariant subspaces.  It also makes the non-pivot
 columns a basis of the quotient by the span, each pivot being minus its
 row's non-pivot entries there, so :func:`quotient_trace` reads a trace on
 the quotient off whichever is smaller: the rows or the non-pivot columns.
+Both readouts take the map the same way, as a signed permutation of the
+columns: image(columns) yields the (key, sign) with
+g . column = sign * key for each column in turn.
 """
 
 from __future__ import annotations
@@ -190,19 +193,23 @@ def _exact_total(fixed: int, by_pivot_coeff: dict) -> int:
     return int(total)
 
 
-def stable_trace(basis: EchelonBasis, coordinate) -> int:
-    """Trace of a linear map g on the span of basis, which g must preserve.
+def stable_trace(basis: EchelonBasis, image) -> int:
+    """Trace of g on the span of basis, which g must preserve.
 
-    coordinate(pivot, row) returns (g . row)[pivot] for a stored row.  As
-    no other row has a pivot entry there, that value divided by the row's
-    pivot coefficient is the coordinate of g . row along row itself, and
-    the trace is their sum, which must be an integer for an
-    integer-valued map.
+    g permutes columns up to sign: image(columns) yields, for each of the
+    given columns in turn, the (key, sign) with g . column = sign * key.
+    What is read is the trace of g^{-1}, which is the same: g has finite
+    order, so that trace is the complex conjugate of g's, a rational.  As no
+    other row has an entry at a row's pivot, (g^{-1} . row)[pivot], which
+    is sign * row[key] for g . pivot = sign * key, divided by the pivot
+    coefficient is the coordinate of g^{-1} . row along row itself, and
+    the trace is their sum, an integer for a stable span.
     """
-    by_pivot_coeff: dict[int, object] = {}
-    for p, row in basis._rows.items():
+    rows = basis._rows
+    by_pivot_coeff: dict[int, int] = {}
+    for (p, row), (key, sign) in zip(rows.items(), image(rows)):
         a = row[p]
-        by_pivot_coeff[a] = by_pivot_coeff.get(a, 0) + coordinate(p, row)
+        by_pivot_coeff[a] = by_pivot_coeff.get(a, 0) + sign * row.get(key, 0)
     return _exact_total(0, by_pivot_coeff)
 
 
@@ -226,34 +233,17 @@ def _standard_side(basis: EchelonBasis, standard, image) -> int:
     return _exact_total(fixed, by_pivot_coeff)
 
 
-def _row_side(basis: EchelonBasis, image, whole: int) -> int:
-    """Trace of g^{-1} on (piece)/(span): whole, which is also the trace
-    of g^{-1} on the piece (g and g^{-1} fix the same columns with the
-    same signs), minus its trace on the span, read as in
-    :func:`stable_trace` with (g^{-1} . row)[pivot] = sign * row[key] for
-    g . pivot = sign * key."""
-    rows = basis._rows
-    by_pivot_coeff: dict[int, int] = {}
-    for (p, row), (key, sign) in zip(rows.items(), image(rows)):
-        a = row[p]
-        by_pivot_coeff[a] = by_pivot_coeff.get(a, 0) + sign * row.get(key, 0)
-    return whole - _exact_total(0, by_pivot_coeff)
-
-
 def quotient_trace(basis: EchelonBasis, standard, image, whole: int) -> int:
     """Trace of g on the quotient of a piece by the span of basis, which g
     must preserve.
 
-    g permutes the piece's columns up to sign: image(columns) yields, for
-    each of the given columns in turn, the (key, sign) with
-    g . column = sign * key.  standard lists the piece's non-pivot columns
+    g permutes the piece's columns up to sign, given by image as in
+    :func:`stable_trace`.  standard lists the piece's non-pivot columns
     (:meth:`EchelonBasis.non_pivots`), and whole is the trace of g on the
-    piece.  The trace is read off the smaller side: the
-    non-pivot columns when there are fewer of them than rows
-    (:func:`_standard_side`), else the rows (:func:`_row_side`).  The
-    latter reads g^{-1}, whose trace is the same: g has finite order, so
-    the trace of g^{-1} is the complex conjugate of a rational number.
+    piece.  The trace is read off the smaller side: the non-pivot columns
+    when there are fewer of them than rows (:func:`_standard_side`), else
+    the rows, as whole minus the trace on the span (:func:`stable_trace`).
     """
     if len(standard) < basis.rank:
         return _standard_side(basis, standard, image)
-    return _row_side(basis, image, whole)
+    return whole - stable_trace(basis, image)

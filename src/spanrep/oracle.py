@@ -18,16 +18,20 @@ superspace piece is full outright when a piece one step below it is,
 since every monomial is, up to sign, a degree-one generator times a
 monomial one step lower; a full superspace piece holds no rows (it is
 None), and its quotient is zero, read without traces.
-Both invariant spaces, the diagonal ones and the Grassmann oracle's
-within-batch ones, are signed orbit sums of monomials, one per orbit
+The diagonal invariants that generate the superspace coinvariant ideal
+are signed orbit sums of super-monomials, one per orbit
 (:func:`_orbit_sums`); disjoint supports make them independent as they are.
-Traces of permutations on quotients are read off the smaller side of each
-piece (:func:`~spanrep.linalg.quotient_trace`): over the standard
-monomials, the non-pivots of the reduced echelon basis and a basis of
-the quotient, when they are fewer than the ideal rows; otherwise as the
-signed fixed monomials minus the trace on the ideal subspace, read off
-its pivot coordinates.  Both are valid because the ideals are stable
-under the subscript action; tests exercise that stability directly.
+Every trace of a permutation on a quotient piece is read by
+:func:`~spanrep.linalg.quotient_trace`, given the permutation as a signed
+image of the piece's columns, off the smaller side of the piece: over the
+standard monomials, the non-pivots of the reduced echelon basis and a
+basis of the quotient, when they are fewer than the ideal rows; otherwise
+as the signed fixed monomials minus the trace on the ideal subspace, read
+off its pivot coordinates.  Both are valid because the ideals are stable
+under the action; tests exercise that stability directly.  The Grassmann
+oracle's characters on within-batch invariants are means of such traces
+over the within-batch group (:func:`grassmann_quotient`), so no invariant
+is formed and nothing is reduced modulo the ideal.
 
 Scale guards: the line and d-plane oracles refuse n > 7 (lines, or
 batches of d: both read characters of S_n) and any request whose largest
@@ -51,9 +55,9 @@ from itertools import (
 from math import prod
 from operator import itemgetter
 
-from .combinat import Partition, perm_of_type
+from .combinat import Partition, cycle_type, perm_of_type
 from .errors import ScaleGuardError
-from .linalg import EchelonBasis, quotient_trace, stable_trace
+from .linalg import EchelonBasis, quotient_trace
 from .superspace import SuperMonomial, apply_perm, mono_mul
 from .symfun import GradedFrobenius, SchurExpansion, dimension, schur_from_traces
 
@@ -631,13 +635,6 @@ def decompose_super_coinvariants(
 # -- Grassmann presentation --------------------------------------------
 
 
-def _apply_varperm(mono: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(mono)
-    for i, e in enumerate(mono):
-        out[w[i]] = e
-    return tuple(out)
-
-
 def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     """Per-degree Schur decomposition for spanning d-plane configurations,
     via the batch-symmetric quotient presentation.
@@ -645,22 +642,30 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     The ideal in the d*n variables is generated by the top k elementary
     symmetric polynomials of all variables together with the complete
     homogeneous h_k, ..., h_{k-d+1} of each batch, and its pieces are
-    spanned in the truncated ring (:func:`_ideal_piece`).  Invariants under
-    the within-batch symmetric groups are the orbit sums of the standard
-    monomials, reduced modulo the ideal, and the symmetric group character
-    permutes whole batches.
+    spanned in the truncated ring (:func:`_ideal_piece`).  A piece's
+    invariants under G = S_d^n, the within-batch symmetric groups, carry
+    the S_n character, S_n permuting whole batches.
+
+    S_n normalizes G, so a batch permutation sigma commutes with the
+    projection onto the invariants, the mean over G, and its trace there
+    is the mean over g in G of the trace of sigma g on the quotient piece,
+    each read by :func:`~spanrep.linalg.quotient_trace`.  Fewer g are
+    needed.  Write sigma g as (i, t) -> (sigma(i), g_i(t)) on variable t
+    of batch i; conjugating by h in G makes g_i into h_sigma(i) g_i h_i^-1.
+    Along a cycle i_0 -> ... -> i_(l-1) of sigma, h can clear every g_i
+    but one, which becomes the product of the cycle's g_i, and that one
+    can be moved to the cycle's first batch.  As g runs over G every tuple
+    of cycle products comes up equally often, so the mean over G is the
+    mean over the (d!)^(number of cycles) elements with one permutation of
+    S_d on each cycle's first batch.  A mean that is not an integer is no
+    character value, and raises RuntimeError.
     """
     if not 1 <= d <= k <= d * n:
         raise ValueError(f"need 1 <= d <= k <= d*n, got d={d}, n={n}, k={k}")
     nvars = d * n
     _guard(n <= COMMUTING_MAX_N, f"d-plane oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
     _check_pieces(nvars, k, None)
-
-    # within-batch permutations as permutations of all d*n variables
-    group = [
-        tuple(i * d + g[t] for i, g in enumerate(gs) for t in range(d))
-        for gs in product(permutations(range(d)), repeat=n)
-    ]
+    within = list(permutations(range(d)))
 
     by_degree: dict[int, SchurExpansion] = {}
     below = ideal = None
@@ -668,26 +673,31 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     while True:
         below, ideal = ideal, _ideal_piece(d, n, k, deg, ideal, below)
         standard = ideal.non_pivots(_bounded_monomials(nvars, deg, k))
-        if standard:
-            # reduce is linear, so each orbit sum is reduced once
-            invariants = EchelonBasis()
-            for vec in _orbit_sums(standard, group, lambda mm, w: (_apply_varperm(mm, w), 1)):
-                invariants.insert(ideal.reduce(vec))
-            if invariants.rank:
-                def trace(rho):
-                    sigma = perm_of_type(rho, n)
-                    # batch permutation: variable (i, t) -> (sigma(i), t)
-                    varperm = tuple(
-                        sigma[i] * d + t for i in range(n) for t in range(d)
-                    )
 
-                    def coordinate(pivot, row):
-                        image = {_apply_varperm(mono, varperm): c for mono, c in row.items()}
-                        return ideal.reduce(image).get(pivot, 0)
+        def trace(rho):
+            sigma = perm_of_type(rho, n)
+            # perm_of_type lays the cycles out on consecutive batches
+            firsts = [0, *accumulate(rho.parts)][:-1]
+            total = 0
+            for hs in product(within, repeat=len(firsts)):
+                # variable (i, t) -> (sigma(i), t), or (sigma(i), h(t)) on a first batch
+                w = [sigma[i] * d + t for i in range(n) for t in range(d)]
+                for i, h in zip(firsts, hs):
+                    w[i * d : (i + 1) * d] = [sigma[i] * d + t for t in h]
+                permute = itemgetter(*w) if nvars > 1 else tuple
+                total += quotient_trace(
+                    ideal,
+                    standard,
+                    lambda monos: zip(map(permute, monos), repeat(1)),
+                    _count_fixed_monomials(cycle_type(w), k, deg),
+                )
+            mean, rest = divmod(total, len(within) ** len(firsts))
+            if rest:
+                raise RuntimeError(f"non-integer mean trace {total}/{len(within)}^{len(firsts)}")
+            return mean
 
-                    return stable_trace(invariants, coordinate)
-
-                by_degree[deg] = schur_from_traces(n, trace)
+        if standard and (exp := schur_from_traces(n, trace)):
+            by_degree[deg] = exp
         if not standard and deg >= nvars:  # e_{d*n} is the top generator degree
             break
         deg += 1

@@ -30,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import permutations, repeat
 from math import factorial, perm
 from operator import itemgetter
 
-from .combinat import GradedPoly, perm_inverse, perm_of_type
+from .combinat import GradedPoly, cycle_type, perm_of_type
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, stable_trace
 from .symfun import SchurExpansion, omega, schur_from_traces
@@ -274,16 +274,7 @@ def _mono_str(mono: SuperMonomial) -> str:
 
 def _perm_sign(w: tuple[int, ...]) -> int:
     """The sign of w, (-1)^(n - number of cycles)."""
-    seen = [False] * len(w)
-    cycles = 0
-    for i in range(len(w)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = w[j]
-    return -1 if (len(w) - cycles) % 2 else 1
+    return -1 if (len(w) - len(cycle_type(w))) % 2 else 1
 
 
 def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> SuperPoly:
@@ -532,28 +523,17 @@ def harmonic_closure(
     return ClosureSpace(n, m, p, k, spaces)
 
 
-def subscript_coordinate(w: tuple[int, ...]):
-    """The coordinate(pivot, row) of :func:`stable_trace` for the diagonal
-    subscript action of w on a span of super-monomials: (w . row)[pivot]
-    is row[w^{-1} . pivot] times the theta sign."""
-    w_inv = perm_inverse(w)
-
-    def coordinate(pivot, row):
-        pre, sign = apply_perm(pivot, w_inv)
-        return sign * row.get(pre, 0)
-
-    return coordinate
-
-
 def frobenius_of_closure(
     n: int, m: int, p: int, k: int, *, closure: ClosureSpace | None = None
 ) -> dict[Multidegree, SchurExpansion]:
     """Schur decomposition of each multidegree piece of the harmonic closure.
 
-    Traces are read off pivot coordinates of the stored echelon bases;
-    that is valid because the closure space is stable under the diagonal
-    subscript action (the seed is antisymmetric and the operator family is
-    closed under conjugation by permutations).
+    Traces are read off pivot coordinates of the stored echelon bases by
+    :func:`~spanrep.linalg.stable_trace`, given the subscript action as a
+    signed image of columns (:func:`apply_perm`); that is valid because the
+    closure space is stable under the diagonal subscript action (the seed
+    is antisymmetric and the operator family is closed under conjugation
+    by permutations).
 
     With one batch of each kind (m = p = 1) the closure is R f, the span
     of all derivatives of the seed f, and its pieces pair off by duality.
@@ -590,7 +570,10 @@ def frobenius_of_closure(
         if not basis.rank:
             continue
         out[md] = schur_from_traces(
-            n, lambda rho: stable_trace(basis, subscript_coordinate(perm_of_type(rho, n)))
+            n,
+            lambda rho: stable_trace(
+                basis, lambda cols: map(apply_perm, cols, repeat(perm_of_type(rho, n)))
+            ),
         )
     if not dual_rule:
         return out

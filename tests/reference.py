@@ -2,6 +2,11 @@
 
 - :class:`FractionEchelonBasis`: reduced row echelon form kept directly in
   Fractions, every row scaled to pivot coefficient 1.
+- :func:`callback_trace`: the trace on a stable span in the form the
+  library used before every readout took a signed column image: a
+  coordinate(pivot, row) callback per row, summed in Fractions, fed by
+  :func:`subscript_coordinate` for the subscript action and by
+  :func:`apply_varperm` for variable permutations.
 - :func:`quotient_basis` and :func:`character_on_quotient`: the commuting
   oracle over the full polynomial ring Q[x], with x_i^k among the ideal
   generators and each degree-d ideal piece spanned by every generator
@@ -49,15 +54,18 @@ the symmetric polynomials and cycle-type representatives.  The line
 ideal shares the echelon basis and the generators, and keeps its own
 step.  The next three share the library's echelon basis, super-monomial
 enumeration, subscript action and monomial products, and the quotient
-shares the trace and Schur readouts; they differ from the library's orbit
-sums and one-step-down recursion in how invariants and the ideal piece
-are spanned, multiply through their own :func:`_mono_times_vector`, and
-trace every piece, even one the ideal fills.  The unpruned step shares
+shares the Schur readout and traces by :func:`callback_trace`; they
+differ from the library's orbit sums and one-step-down recursion in how
+invariants and the ideal piece are spanned, multiply through their own
+:func:`_mono_times_vector`, and trace every piece, even one the ideal
+fills.  The unpruned step shares
 the library's span kernel, orbit sums and monomial products, and differs
 only in skipping no product and in keeping the rows of full pieces.  The
-Grassmann references keep their own untruncated step and share the trace
-readout and the Schur readout; they differ in the ring the ideal is
-spanned in and in how the invariants of the quotient are formed.  The next two share the tableau enumeration,
+Grassmann references keep their own untruncated step, trace by
+:func:`callback_trace` and share the Schur readout; they differ in the
+ring the ideal is spanned in, and they form the invariants of the
+quotient and trace on them, where the library averages traces on the
+whole quotient piece.  The next two share the tableau enumeration,
 the partition counts and the characters, and differ in how they are
 combined.  The closure search shares the seed, the derivatives and the
 polynomial product; it differs in how polarizations are applied, in the
@@ -85,9 +93,8 @@ from spanrep.combinat import (
     z_lambda,
 )
 from spanrep.errors import NotACharacterError
-from spanrep.linalg import EchelonBasis, stable_trace
+from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
-    _apply_varperm,
     _bounded_monomials,
     _invariant_basis,
     _multidegree_basis,
@@ -103,7 +110,6 @@ from spanrep.superspace import (
     d_theta,
     d_x,
     mono_mul,
-    subscript_coordinate,
     superspace_vandermonde,
 )
 from spanrep.symfun import (
@@ -193,6 +199,39 @@ def pivot_trace(basis: FractionEchelonBasis, preimage) -> Fraction:
     """Trace of a monomial permutation on a stable span: the sum over rows
     of row[preimage(pivot)], valid because every pivot coefficient is 1."""
     return sum((row.get(preimage(p), _ZERO) for p, row in basis.rows()), _ZERO)
+
+
+def callback_trace(basis: EchelonBasis, coordinate) -> int:
+    """Trace of a map g on the span of basis, which g must preserve:
+    coordinate(pivot, row) gives (g . row)[pivot] for each primitive row,
+    and the trace is the sum of those values over the pivot coefficients,
+    in Fractions."""
+    total = sum(
+        (Fraction(coordinate(p, row), row[p]) for p, row in basis.primitive_rows()), _ZERO
+    )
+    assert total.denominator == 1, total
+    return int(total)
+
+
+def subscript_coordinate(w: tuple):
+    """The coordinate(pivot, row) of :func:`callback_trace` for the diagonal
+    subscript action of w on a span of super-monomials: (w . row)[pivot]
+    is row[w^{-1} . pivot] times the theta sign."""
+    w_inv = tuple(sorted(range(len(w)), key=w.__getitem__))
+
+    def coordinate(pivot, row):
+        pre, sign = apply_perm(pivot, w_inv)
+        return sign * row.get(pre, 0)
+
+    return coordinate
+
+
+def apply_varperm(mono: tuple, w: tuple) -> tuple:
+    """The exponent tuple with variable i moved to w[i]."""
+    out = [0] * len(mono)
+    for i, e in enumerate(mono):
+        out[w[i]] = e
+    return tuple(out)
 
 
 def _coinvariant_generators(n: int, k: int) -> list[dict]:
@@ -371,7 +410,7 @@ def super_coinvariants(n: int, alpha: tuple, beta: tuple) -> SchurExpansion:
     def trace(rho):
         w = perm_of_type(rho, n)
         fixed = signed_fixed_trace(n, alpha, beta, w)
-        return fixed - stable_trace(ideal, subscript_coordinate(w))
+        return fixed - callback_trace(ideal, subscript_coordinate(w))
 
     return schur_from_traces(n, trace)
 
@@ -427,7 +466,7 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
         for mm in standard:
             acc: dict = {}
             for g in group:
-                for key, c in ideal.reduce({_apply_varperm(mm, g): 1}).items():
+                for key, c in ideal.reduce({apply_varperm(mm, g): 1}).items():
                     nc = acc.get(key, _ZERO) + c
                     if nc:
                         acc[key] = nc
@@ -440,10 +479,10 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
                 varperm = tuple(sigma[i] * d + t for i in range(n) for t in range(d))
 
                 def coordinate(pivot, row):
-                    image = {_apply_varperm(mono, varperm): c for mono, c in row.items()}
+                    image = {apply_varperm(mono, varperm): c for mono, c in row.items()}
                     return ideal.reduce(image).get(pivot, 0)
 
-                return stable_trace(invariants, coordinate)
+                return callback_trace(invariants, coordinate)
 
             by_degree[deg] = schur_from_traces(n, trace)
             dims[deg] = invariants.rank

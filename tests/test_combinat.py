@@ -8,11 +8,13 @@ from spanrep.combinat import (
     Partition,
     StandardTableau,
     count_partitions_bounded,
+    cycle_type,
     des,
     des_maj_counts,
     maj,
     pad,
     partitions_of,
+    perm_of_type,
     q_binomial,
     syt_count,
     syt_enumerate,
@@ -20,6 +22,29 @@ from spanrep.combinat import (
     z_lambda,
 )
 from spanrep.errors import PaddingError
+
+
+# -- permutations --------------------------------------------------------
+
+
+def test_cycle_type_reads_back_every_representative():
+    for n in range(7):
+        for rho in partitions_of(n):
+            assert cycle_type(perm_of_type(rho, n)) == rho.parts
+
+
+@given(st.permutations(range(7)))
+def test_cycle_type_counts_orbits_of_every_point(w):
+    # each point lies in a cycle as long as its orbit under w
+    orbit_lengths = []
+    for i in range(len(w)):
+        j, length = w[i], 1
+        while j != i:
+            j, length = w[j], length + 1
+        orbit_lengths.append(length)
+    lengths = cycle_type(tuple(w))
+    assert sum(lengths) == len(w)
+    assert Counter(orbit_lengths) == Counter({ell: ell * c for ell, c in Counter(lengths).items()})
 
 
 # -- partitions ----------------------------------------------------------

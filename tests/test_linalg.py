@@ -4,8 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import FractionEchelonBasis, pivot_trace
-from spanrep.linalg import EchelonBasis, _row_side, _standard_side, quotient_trace, stable_trace
+from reference import FractionEchelonBasis
+from spanrep.linalg import EchelonBasis, _standard_side, quotient_trace, stable_trace
 
 NCOLS = 8
 
@@ -54,55 +54,71 @@ def test_insert_after_releasing_the_index_matches_fraction_reference(steps, prob
     assert_primitive_and_reduced(fast)
 
 
-def _orbit(vec, sigma):
-    """vec and its images under the powers of the column permutation sigma."""
+def _orbit(vec, sigma, signs):
+    """vec and its images under the powers of the signed column permutation
+    sending column c to signs[c] * sigma[c]."""
     out, img = [], dict(vec)
     while True:
         out.append(img)
-        img = {sigma[c]: v for c, v in img.items()}
+        img = {sigma[c]: signs[c] * v for c, v in img.items()}
         if img == vec:
             return out
 
 
-def _stable_spans(system, sigma):
-    """The span of the sigma-orbits of system's vectors, which is
-    sigma-stable, in the integer core and in the reference."""
+def _stable_spans(system, sigma, signs):
+    """The span of the orbits of system's vectors, which is stable under
+    the signed permutation, in the integer core and in the reference."""
     fast, ref = EchelonBasis(), FractionEchelonBasis()
     for vec in system:
-        for img in _orbit(vec, sigma):
+        for img in _orbit(vec, sigma, signs):
             fast.insert(img)
             ref.insert(img)
     return fast, ref
 
 
-@settings(max_examples=100, deadline=None)
-@given(systems, st.permutations(range(NCOLS)))
-def test_trace_readout_matches_fraction_reference(system, sigma):
-    fast, ref = _stable_spans(system, sigma)
+def _column_image(sigma, signs=(1,) * NCOLS):
+    """The image(columns) of the readouts for the signed permutation."""
+    return lambda columns: ((sigma[c], signs[c]) for c in columns)
+
+
+def _reference_traces(ref, sigma, signs):
+    """Traces of g . c = signs[c] * sigma[c] on the whole space, the signs
+    of the fixed columns summed, and on the span of the reference's
+    pivot-1 rows, (g . row)[p] = signs[c] * row[c] for c = sigma^{-1}(p)
+    summed over the pivots p."""
     sigma_inv = {s: c for c, s in enumerate(sigma)}
-    want = pivot_trace(ref, sigma_inv.__getitem__)
-    assert want.denominator == 1
-    assert stable_trace(fast, lambda p, row: row.get(sigma_inv[p], 0)) == want
+    whole = sum(signs[c] for c, s in enumerate(sigma) if c == s)
+    span = sum(
+        (signs[sigma_inv[p]] * row.get(sigma_inv[p], 0) for p, row in ref.rows()), Fraction(0)
+    )
+    assert span.denominator == 1
+    return whole, span
+
+
+column_signs = st.lists(st.sampled_from((1, -1)), min_size=NCOLS, max_size=NCOLS)
 
 
 @settings(max_examples=100, deadline=None)
-@given(systems, st.permutations(range(NCOLS)))
-def test_quotient_readout_matches_fraction_reference_on_each_side(system, sigma):
-    # each side is read in turn, whichever is smaller, and both must give
-    # the trace on the whole space minus the trace on the span
-    fast, ref = _stable_spans(system, sigma)
-    sigma_inv = {s: c for c, s in enumerate(sigma)}
-    fixed = sum(1 for c, s in enumerate(sigma) if c == s)
-    want = fixed - pivot_trace(ref, sigma_inv.__getitem__)
+@given(systems, st.permutations(range(NCOLS)), column_signs)
+def test_trace_readout_matches_fraction_reference(system, sigma, signs):
+    fast, ref = _stable_spans(system, sigma, signs)
+    _, span = _reference_traces(ref, sigma, signs)
+    assert stable_trace(fast, _column_image(sigma, signs)) == span
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems, st.permutations(range(NCOLS)), column_signs)
+def test_quotient_readout_matches_fraction_reference_on_each_side(system, sigma, signs):
+    # the standard side, and quotient_trace on whichever side is smaller,
+    # must give the trace on the whole space minus the trace on the span;
+    # the row side is that difference with stable_trace, tested above
+    fast, ref = _stable_spans(system, sigma, signs)
+    whole, span = _reference_traces(ref, sigma, signs)
     standard = fast.non_pivots(range(NCOLS))
     assert standard == [c for c in range(NCOLS) if c not in ref.pivots()]
-
-    def image(columns):
-        return ((sigma[c], 1) for c in columns)
-
-    assert _standard_side(fast, standard, image) == want
-    assert _row_side(fast, image, fixed) == want
-    assert quotient_trace(fast, standard, image, fixed) == want
+    image = _column_image(sigma, signs)
+    assert _standard_side(fast, standard, image) == whole - span
+    assert quotient_trace(fast, standard, image, whole) == whole - span
 
 
 def test_trace_readout_rejects_an_unstable_span():
@@ -110,10 +126,10 @@ def test_trace_readout_rejects_an_unstable_span():
     basis.insert({0: 2, 1: 1})  # stored with pivot coefficient 2
     swap = {0: 1, 1: 0}
     with pytest.raises(RuntimeError, match="non-integer trace"):
-        stable_trace(basis, lambda p, row: row.get(swap[p], 0))
+        stable_trace(basis, _column_image(swap))
     # the quotient is spanned by column 1, which the swap sends to the pivot
     with pytest.raises(RuntimeError, match="non-integer trace"):
-        _standard_side(basis, basis.non_pivots(range(2)), lambda cs: ((swap[c], 1) for c in cs))
+        _standard_side(basis, basis.non_pivots(range(2)), _column_image(swap))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from spanrep.formula import grfrob_tableaux
 from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
     COMMUTING_MAX_PIECE,
-    _apply_varperm,
     _check_commuting,
     _check_pieces,
     _count_fixed_monomials,
@@ -332,7 +331,7 @@ def test_super_coinvariants_bigraded_fixture_n2():
 
 
 def _unsigned_varperm(mono, w):
-    return _apply_varperm(mono, w), 1
+    return reference.apply_varperm(mono, w), 1
 
 
 def _orbit_cases():
@@ -580,7 +579,7 @@ GRASSMANN_REFERENCE_GRID = [
 
 
 @pytest.mark.parametrize("d, n, k_max", GRASSMANN_REFERENCE_GRID)
-def test_grassmann_orbit_sums_match_image_by_image_reference(d, n, k_max):
+def test_grassmann_mean_traces_match_image_by_image_reference(d, n, k_max):
     for k in range(d, k_max + 1):
         got = grassmann_quotient(d, n, k)
         expected = reference.grassmann_quotient(d, n, k)
@@ -666,6 +665,21 @@ def test_grassmann_validation_and_guard():
         with pytest.raises(ScaleGuardError):
             grassmann_quotient(d, n, k)
         assert time.perf_counter() - start < 1.0, (d, n, k)
+
+
+def test_grassmann_rejects_a_non_integer_mean_trace(monkeypatch):
+    # one trace off by one makes its sum over the d! = 2 elements odd
+    calls = 0
+    quotient_trace = oracle.quotient_trace
+
+    def off_once(*args):
+        nonlocal calls
+        calls += 1
+        return quotient_trace(*args) + (calls == 1)
+
+    monkeypatch.setattr(oracle, "quotient_trace", off_once)
+    with pytest.raises(RuntimeError, match="non-integer mean trace"):
+        grassmann_quotient(2, 2, 3)
 
 
 def test_piece_guard_matches_exact_counts():
