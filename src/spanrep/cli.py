@@ -273,8 +273,6 @@ def cmd_superspace(args) -> int:
 
 # -- explore ------------------------------------------------------------
 
-TWIST_NAMES = ("identity", "omega", "q-reverse", "omega+q-reverse")
-
 
 def _expansion_q_top(exp: SchurExpansion) -> int:
     return max((poly.q_degree() for _, poly in exp.items()), default=0)
@@ -330,7 +328,7 @@ def _explore_zabrocki_t0(n: int) -> dict:
     by_theta: dict[int, dict[int, SchurExpansion]] = {}
     for b in range(n + 1):
         for a in range(top_x + 1):
-            exp = decompose_super_coinvariants(n, 1, 1, (a,), (b,))
+            exp = decompose_super_coinvariants(n, (a,), (b,))
             if exp:
                 r_entries.append(
                     {"x_degree": a, "theta_degree": b, "expansion": expansion_to_json(exp)}

@@ -20,7 +20,8 @@ monomial one step lower; a full superspace piece holds no rows (it is
 None), and its quotient is zero, read without traces.
 The diagonal invariants that generate the superspace coinvariant ideal
 are signed orbit sums of super-monomials, one per orbit
-(:func:`_orbit_sums`); disjoint supports make them independent as they are.
+(:func:`_invariant_basis`); disjoint supports make them independent as they
+are.
 Every trace of a permutation on a quotient piece is read by
 :func:`~spanrep.linalg.quotient_trace`, given the permutation as a signed
 image of the piece's columns, off the smaller side of the piece: over the
@@ -237,18 +238,22 @@ def _ideal_piece(
 
 
 @cache
-def _ideal_basis(d: int, n: int, k: int, deg: int) -> EchelonBasis:
-    """:func:`_ideal_piece` memoized, for the line oracle's many reads."""
-    below = _ideal_basis(d, n, k, deg - 1) if deg else None
-    two_below = _ideal_basis(d, n, k, deg - 2) if deg >= 2 else None
-    return _ideal_piece(d, n, k, deg, below, two_below)
+def _ideal_basis(n: int, k: int, deg: int) -> EchelonBasis:
+    """:func:`_ideal_piece` for lines, memoized for the line oracle's many
+    reads.  Past A's top degree n(k - 1) the piece has no monomials, so it
+    is empty, built without recursing."""
+    if deg > n * (k - 1):
+        return EchelonBasis()
+    below = _ideal_basis(n, k, deg - 1) if deg else None
+    two_below = _ideal_basis(n, k, deg - 2) if deg >= 2 else None
+    return _ideal_piece(1, n, k, deg, below, two_below)
 
 
 @cache
 def _standard_monomials(n: int, k: int, deg: int) -> list[tuple[int, ...]]:
     """The monomials of A_deg that are not pivots of the line ideal's
     piece: a basis of the degree-deg quotient, read by every cycle type."""
-    return _ideal_basis(1, n, k, deg).non_pivots(_bounded_monomials(n, deg, k))
+    return _ideal_basis(n, k, deg).non_pivots(_bounded_monomials(n, deg, k))
 
 
 @cache
@@ -276,7 +281,6 @@ def _count_fixed_monomials(cycles: tuple[int, ...], k: int, d: int) -> int:
     return counts[d] if d < len(counts) else 0
 
 
-@cache
 def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
     """Refuse a span whose largest truncated piece A_d over nvars variables
     (exponents below k, d up to top_degree, or all d when None) has more
@@ -324,7 +328,7 @@ def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     _check_commuting(n, k, d)
-    basis = _ideal_basis(1, n, k, d)
+    basis = _ideal_basis(n, k, d)
     return _count_fixed_monomials((1,) * n, k, d) - basis.rank, basis
 
 
@@ -348,33 +352,26 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
 def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> GradedFrobenius:
     """Schur decomposition of every graded piece of the spanning-line quotient.
 
-    Iterates degrees until the quotient piece vanishes at a degree past
-    every generator degree; the quotient ring is generated in degree one,
-    so all higher pieces vanish too.  `max_degree` truncates early (the
-    result is then flagged) which keeps large-n probes affordable when
-    only low degrees are needed.
+    Iterates degrees until the quotient piece vanishes; the quotient ring
+    is generated in degree one, so all higher pieces vanish too.
+    `max_degree` truncates early (the result is then flagged, unless the
+    piece there already vanished) which keeps large-n probes affordable
+    when only low degrees are needed.
     """
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     _check_commuting(n, k, max_degree)
     by_degree: dict[int, SchurExpansion] = {}
     d = 0
-    truncated = False
-    while True:
-        dim, _ = quotient_basis(n, k, d)
-        if dim:
-            exp = schur_from_traces(n, lambda rho: character_on_quotient(n, k, d, rho))
-            if int(dimension(exp).evaluate()) != dim:
-                raise RuntimeError(f"decomposition dimension mismatch at degree {d}")
-            by_degree[d] = exp
-        saturated = dim == 0 and d >= n  # n is the top generator degree
-        if saturated:
-            break
-        if max_degree is not None and d >= max_degree:
-            truncated = True
-            break
+    while dim := quotient_basis(n, k, d)[0]:
+        exp = schur_from_traces(n, lambda rho: character_on_quotient(n, k, d, rho))
+        if int(dimension(exp).evaluate()) != dim:
+            raise RuntimeError(f"decomposition dimension mismatch at degree {d}")
+        by_degree[d] = exp
+        if d == max_degree:
+            return GradedFrobenius(n, k, by_degree, truncated=True)
         d += 1
-    return GradedFrobenius(n, k, by_degree, truncated)
+    return GradedFrobenius(n, k, by_degree)
 
 
 # -- superspace pieces -------------------------------------------------
@@ -392,9 +389,7 @@ def _multidegree_basis(
     )
 
 
-def _check_multidegree(m: int, p: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
-    if len(alpha) != m or len(beta) != p:
-        raise ValueError("multidegree arity must match the batch counts")
+def _check_multidegree(alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
     if any(e < 0 for e in alpha + beta):
         raise ValueError(f"multidegree entries must be nonnegative, got {alpha}, {beta}")
 
@@ -426,50 +421,42 @@ def _signed_fixed_trace(
     return prod(x_counts[a] for a in alpha) * prod(theta_counts[b] for b in beta)
 
 
-def decompose_superspace(
-    n: int, m: int, p: int, alpha: tuple[int, ...], beta: tuple[int, ...]
-) -> SchurExpansion:
+def decompose_superspace(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> SchurExpansion:
     """Schur decomposition of one free multidegree piece of the mixed ring.
 
     The diagonal subscript action permutes basis super-monomials up to the
     theta reordering sign, so traces are signed fixed-point counts, read
     off the cycle type (:func:`_signed_fixed_trace`).
     """
-    _check_multidegree(m, p, alpha, beta)
+    _check_multidegree(alpha, beta)
     _guard(n <= COMMUTING_MAX_N, f"superspace pieces limited to n <= {COMMUTING_MAX_N}, got n={n}")
     return schur_from_traces(n, lambda rho: _signed_fixed_trace(rho.parts, alpha, beta))
 
 
-def _orbit_sums(monomials, group, act) -> list[dict]:
-    """One signed orbit sum per orbit that the monomials meet.
+def _invariant_basis(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> list[dict]:
+    """A basis of the diagonal invariants of one multidegree piece: one
+    signed orbit sum (Reynolds up to a scalar) per orbit of its
+    super-monomials.
 
-    act(mono, w) returns (image, sign).  A monomial whose orbit has already
-    been summed is skipped, since its sum is that one up to sign.  Sums of
-    different orbits have disjoint supports, so the nonzero sums are
-    linearly independent; a sum cancels to zero when a stabilizer element
-    acts by -1, and is dropped.
+    A monomial whose orbit has already been summed is skipped, since its
+    sum is that one up to sign.  Sums of different orbits have disjoint
+    supports, so the nonzero sums are linearly independent; a sum cancels
+    to zero when a stabilizer element acts by -1, and is dropped.
     """
+    group = list(permutations(range(n)))
     seen: set = set()
     sums = []
-    for mono in monomials:
+    for mono in _multidegree_basis(n, alpha, beta):
         if mono in seen:
             continue
         acc: dict = {}
         for w in group:
-            img, sign = act(mono, w)
+            img, sign = apply_perm(mono, w)
             acc[img] = acc.get(img, 0) + sign
         seen.update(acc)
-        vec = {m: c for m, c in acc.items() if c}
-        if vec:
+        if vec := {m: c for m, c in acc.items() if c}:
             sums.append(vec)
     return sums
-
-
-def _invariant_basis(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> list[dict]:
-    """A basis of the diagonal invariants of one multidegree piece: the
-    signed orbit sums of its super-monomials (Reynolds up to a scalar)."""
-    group = list(permutations(range(n)))
-    return _orbit_sums(_multidegree_basis(n, alpha, beta), group, apply_perm)
 
 
 def _quotients(mono: SuperMonomial, batch: int, m: int):
@@ -505,6 +492,14 @@ def _super_ideal_basis(
     is: each monomial is then, up to sign, a generator times an ideal
     element.  A full piece, whether made full so or by spanning, holds no
     rows: no piece above reads them, and its quotient is zero.
+
+    Two kinds of piece are full before any recursion.  One with an x batch
+    of degree above n(n-1)/2: the symmetric polynomials of that batch alone
+    are diagonal invariants, and they generate its classical coinvariant
+    ideal, whose quotient vanishes above n(n-1)/2; so each monomial of the
+    batch lies in the ideal, and so does its product with any monomial of
+    the other batches.  One with a theta batch of degree above n has no
+    monomials.  So no recursion runs deeper than those degrees.
 
     Three rules skip products that the kept ones span, so the piece, and
     its reduced echelon basis, is the same as with every product.  Keys
@@ -556,6 +551,8 @@ def _super_ideal_basis(
     md, m = alpha + beta, len(alpha)
     if not any(md):
         return EchelonBasis()  # the ideal has no constants
+    if max(alpha, default=0) > n * (n - 1) // 2 or max(beta, default=0) > n:
+        return None
 
     def down(*batches):
         lower = list(md)
@@ -603,7 +600,7 @@ def _super_ideal_basis(
 
 
 def decompose_super_coinvariants(
-    n: int, m: int, p: int, alpha: tuple[int, ...], beta: tuple[int, ...]
+    n: int, alpha: tuple[int, ...], beta: tuple[int, ...]
 ) -> SchurExpansion:
     """Schur decomposition of one multidegree piece of the quotient by the
     ideal of positive-multidegree diagonal invariants.
@@ -612,7 +609,7 @@ def decompose_super_coinvariants(
     is built from the pieces one step below it (:func:`_super_ideal_basis`).
     A piece the ideal fills has the zero quotient, read without traces.
     """
-    _check_multidegree(m, p, alpha, beta)
+    _check_multidegree(alpha, beta)
     _guard(
         n <= SUPER_QUOTIENT_MAX_N,
         f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}",
@@ -696,9 +693,9 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
                 raise RuntimeError(f"non-integer mean trace {total}/{len(within)}^{len(firsts)}")
             return mean
 
-        if standard and (exp := schur_from_traces(n, trace)):
-            by_degree[deg] = exp
-        if not standard and deg >= nvars:  # e_{d*n} is the top generator degree
+        if not standard:  # generated in degree one, so every higher piece vanishes too
             break
+        if exp := schur_from_traces(n, trace):
+            by_degree[deg] = exp
         deg += 1
     return GradedFrobenius(n, k, by_degree)

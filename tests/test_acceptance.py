@@ -196,7 +196,7 @@ def test_criterion_12_superspace_multiplicity_stability():
         for b in range(4 - a):
             baseline = None
             for n in range(a + b + 3, 8):
-                exp = decompose_superspace(n, 1, 1, (a,), (b,))
+                exp = decompose_superspace(n, (a,), (b,))
                 mults = {unpad(lam): poly.coefficient() for lam, poly in exp.items()}
                 if baseline is None:
                     baseline = mults

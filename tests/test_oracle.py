@@ -20,7 +20,6 @@ from spanrep.oracle import (
     _ideal_piece,
     _invariant_basis,
     _multidegree_basis,
-    _orbit_sums,
     _signed_fixed_trace,
     _super_ideal_basis,
     character_on_quotient,
@@ -192,6 +191,20 @@ def test_decompose_max_degree_truncation():
         assert dec.by_degree[d] == full.by_degree[d]
 
 
+def test_max_degree_at_a_zero_piece_is_not_truncated():
+    # the (3,1) quotient vanishes from degree 1, so a cut there cuts nothing
+    assert not decompose_coinvariants(3, 1, max_degree=1).truncated
+    assert decompose_coinvariants(3, 1, max_degree=0).truncated
+
+
+def test_line_readouts_past_the_top_degree_do_not_recurse():
+    # past n(k - 1), A_d has no monomials and the ideal piece is empty
+    start = time.perf_counter()
+    assert quotient_basis(2, 2, 3000)[0] == 0
+    assert character_on_quotient(3, 2, 2500, Partition((3,))) == 0
+    assert time.perf_counter() - start < 1.0
+
+
 def test_oracle_scale_guard():
     with pytest.raises(ScaleGuardError):
         quotient_basis(8, 2, 1)
@@ -240,27 +253,27 @@ def test_oracle_piece_budget():
 
 
 def test_superspace_constants_and_sign():
-    assert decompose_superspace(3, 1, 0, (0,), ()) == exp_of(3, ((3,), 1))
+    assert decompose_superspace(3, (0,), ()) == exp_of(3, ((3,), 1))
     for n in range(1, 6):
-        top = decompose_superspace(n, 0, 1, (), (n,))
+        top = decompose_superspace(n, (), (n,))
         assert top == exp_of(n, (tuple([1] * n), 1))
 
 
 def test_superspace_natural_representation():
-    assert decompose_superspace(3, 1, 0, (1,), ()) == exp_of(3, ((3,), 1), ((2, 1), 1))
+    assert decompose_superspace(3, (1,), ()) == exp_of(3, ((3,), 1), ((2, 1), 1))
 
 
 def test_superspace_dimension_product_formula():
     for n in range(1, 8):
         for a in range(4):
             for b in range(4):
-                exp = decompose_superspace(n, 1, 1, (a,), (b,))
+                exp = decompose_superspace(n, (a,), (b,))
                 dim = int(dimension(exp).evaluate())
                 assert dim == comb(n + a - 1, a) * comb(n, b)
 
 
 def test_superspace_two_batches():
-    exp = decompose_superspace(2, 2, 0, (1, 1), ())
+    exp = decompose_superspace(2, (1, 1), ())
     assert int(dimension(exp).evaluate()) == 4
 
 
@@ -283,7 +296,7 @@ def test_superspace_padded_multiplicities_stabilize():
         for b in range(3 - a):
             baseline = None
             for n in range(a + b + 3, 8):
-                exp = decompose_superspace(n, 1, 1, (a,), (b,))
+                exp = decompose_superspace(n, (a,), (b,))
                 mults = {unpad(lam): poly.coefficient() for lam, poly in exp.items()}
                 if baseline is None:
                     baseline = mults
@@ -298,7 +311,7 @@ def test_super_coinvariants_pure_commuting_matches_flag_quotient():
     for n in range(1, 5):
         expected = decompose_coinvariants(n, n)
         for d in range(n * (n - 1) // 2 + 2):
-            exp = decompose_super_coinvariants(n, 1, 0, (d,), ())
+            exp = decompose_super_coinvariants(n, (d,), ())
             if d in expected.by_degree:
                 assert exp == expected.by_degree[d], (n, d)
             else:
@@ -307,9 +320,9 @@ def test_super_coinvariants_pure_commuting_matches_flag_quotient():
 
 def test_super_coinvariants_single_variable_ring():
     # every positive-degree element is invariant, so only degree 0 survives
-    assert decompose_super_coinvariants(1, 2, 2, (0, 0), (0, 0)) == exp_of(1, ((1,), 1))
-    assert not decompose_super_coinvariants(1, 2, 2, (1, 0), (0, 0))
-    assert not decompose_super_coinvariants(1, 2, 2, (0, 0), (1, 0))
+    assert decompose_super_coinvariants(1, (0, 0), (0, 0)) == exp_of(1, ((1,), 1))
+    assert not decompose_super_coinvariants(1, (1, 0), (0, 0))
+    assert not decompose_super_coinvariants(1, (0, 0), (1, 0))
 
 
 def test_super_coinvariants_bigraded_fixture_n2():
@@ -317,7 +330,7 @@ def test_super_coinvariants_bigraded_fixture_n2():
     table = {}
     for a in range(4):
         for b in range(3):
-            exp = decompose_super_coinvariants(2, 1, 1, (a,), (b,))
+            exp = decompose_super_coinvariants(2, (a,), (b,))
             if exp:
                 table[(a, b)] = exp
     assert table == {
@@ -330,51 +343,43 @@ def test_super_coinvariants_bigraded_fixture_n2():
 # -- orbit sums ------------------------------------------------------------------
 
 
-def _unsigned_varperm(mono, w):
-    return reference.apply_varperm(mono, w), 1
-
-
 def _orbit_cases():
-    """(monomials, group, act): super-monomial pieces under the signed
-    subscript action, and polynomial degrees under within-batch groups."""
+    """(n, alpha, beta): super-monomial pieces under the signed subscript
+    action."""
     for n in range(1, 4):
-        group = list(permutations(range(n)))
         for alpha, beta in [((2,), (1,)), ((1,), (2,)), ((1, 1), (1,)), ((), (1, 1)), ((3,), (0,))]:
-            yield _multidegree_basis(n, alpha, beta), group, apply_perm
-    yield _multidegree_basis(4, (2,), (2,)), list(permutations(range(4))), apply_perm
-    for d, n in [(2, 2), (3, 2), (2, 3)]:
-        for deg in range(4):
-            yield monomials_of_degree(d * n, deg), reference.batch_group(d, n), _unsigned_varperm
+            yield n, alpha, beta
+    yield 4, (2,), (2,)
 
 
-def _act_on(vec, w, act):
+def _act_on(vec, w):
     out = {}
     for mono, c in vec.items():
-        img, sign = act(mono, w)
+        img, sign = apply_perm(mono, w)
         out[img] = out.get(img, 0) + sign * c
     return {m: c for m, c in out.items() if c}
 
 
 def test_orbit_sums_are_invariant():
-    for monomials, group, act in _orbit_cases():
-        for vec in _orbit_sums(monomials, group, act):
+    for n, alpha, beta in _orbit_cases():
+        for vec in _invariant_basis(n, alpha, beta):
             assert vec
-            for w in group:
-                assert _act_on(vec, w, act) == vec, (vec, w)
+            for w in permutations(range(n)):
+                assert _act_on(vec, w) == vec, (vec, w)
 
 
 def test_orbit_sums_have_disjoint_supports():
-    for monomials, group, act in _orbit_cases():
+    for n, alpha, beta in _orbit_cases():
         seen = set()
-        for vec in _orbit_sums(monomials, group, act):
+        for vec in _invariant_basis(n, alpha, beta):
             assert seen.isdisjoint(vec)
             seen.update(vec)
 
 
-def _symmetrize(mono, group, act):
+def _symmetrize(mono, n):
     acc = {}
-    for w in group:
-        img, sign = act(mono, w)
+    for w in permutations(range(n)):
+        img, sign = apply_perm(mono, w)
         acc[img] = acc.get(img, 0) + sign
     return acc
 
@@ -383,11 +388,11 @@ def test_orbit_sums_cover_every_monomial():
     # A monomial outside every returned support is one whose own orbit sum
     # cancels; the signed cases include such monomials.
     cancelled = 0
-    for monomials, group, act in _orbit_cases():
-        support = set().union(*_orbit_sums(monomials, group, act))
-        for mono in monomials:
+    for n, alpha, beta in _orbit_cases():
+        support = set().union(*_invariant_basis(n, alpha, beta))
+        for mono in _multidegree_basis(n, alpha, beta):
             if mono not in support:
-                assert not any(_symmetrize(mono, group, act).values()), mono
+                assert not any(_symmetrize(mono, n).values()), mono
                 cancelled += 1
     assert cancelled
 
@@ -474,7 +479,7 @@ def test_super_coinvariants_match_traced_reference_quotient(m, p):
     empty = 0
     for n in range(1, 4):
         for alpha, beta in _super_multidegrees(n, m, p):
-            got = decompose_super_coinvariants(n, m, p, alpha, beta)
+            got = decompose_super_coinvariants(n, alpha, beta)
             assert got == reference.super_coinvariants(n, alpha, beta), (n, alpha, beta)
             empty += not got
     assert empty
@@ -505,7 +510,7 @@ def _count_zabrocki_inserts(monkeypatch):
     for n in range(1, 5):
         for b in range(n + 1):
             for a in range(n * (n - 1) // 2 + 1):
-                decompose_super_coinvariants(n, 1, 1, (a,), (b,))
+                decompose_super_coinvariants(n, (a,), (b,))
     return counts["invariants"], counts["products"], counts["grown"]
 
 
@@ -523,24 +528,42 @@ def test_super_ideal_products_stay_near_the_rank_they_grow(monkeypatch):
     assert products <= 1.3 * grown, (products, grown)
 
 
+@pytest.mark.parametrize("m, p", [(1, 0), *SUPER_BATCH_SHAPES])
+def test_super_pieces_past_the_coinvariant_top_are_full(m, p):
+    # a piece with an x batch above n(n-1)/2 or a theta batch above n is
+    # None before any recursion; the unpruned step spans every piece, and
+    # finds those full and the others as the library does
+    for n in range(1, 5):
+        top = n * (n - 1) // 2
+        for md in product(range(top + 5), repeat=m + p):
+            alpha, beta = md[:m], md[m:]
+            if sum(md) > top + 4:
+                continue
+            dim = len(_multidegree_basis(n, alpha, beta))
+            full = reference.super_ideal_step(n, alpha, beta).rank == dim
+            past = max(alpha, default=0) > top or max(beta, default=0) > n
+            assert full >= past, (n, alpha, beta)
+            assert (_super_ideal_basis(n, alpha, beta) is None) == full, (n, alpha, beta)
+
+
+def test_deep_super_coinvariant_piece_does_not_recurse():
+    start = time.perf_counter()
+    assert decompose_super_coinvariants(2, (1500,), (0,)) == SchurExpansion(2)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_super_coinvariants_scale_guard():
     with pytest.raises(ScaleGuardError):
-        decompose_super_coinvariants(6, 1, 1, (1,), (1,))
+        decompose_super_coinvariants(6, (1,), (1,))
 
 
 @pytest.mark.parametrize("decompose", [decompose_super_coinvariants, decompose_superspace])
 def test_superspace_multidegree_validation(decompose):
     # checked before the scale guard, so n = 9 raises ValueError too
     for n in (3, 9):
-        for m, p, alpha, beta in [
-            (1, 1, (-1,), (0,)),
-            (1, 1, (0,), (-1,)),
-            (2, 1, (2, -1), (1,)),
-            (1, 1, (1, 1), (0,)),
-            (1, 0, (1,), (0,)),
-        ]:
+        for alpha, beta in [((-1,), (0,)), ((0,), (-1,)), ((2, -1), (1,))]:
             with pytest.raises(ValueError):
-                decompose(n, m, p, alpha, beta)
+                decompose(n, alpha, beta)
 
 
 # -- Grassmann quotient --------------------------------------------------------
@@ -602,7 +625,7 @@ def test_line_ideal_pieces_match_step_by_step_reference():
     for n in range(1, 7):
         for k in range(1, n + 1):
             for deg in range(n * (k - 1) + 2):
-                got = _ideal_basis(1, n, k, deg).primitive_rows()
+                got = _ideal_basis(n, k, deg).primitive_rows()
                 assert got == reference.line_ideal_basis(n, k, deg).primitive_rows(), (n, k, deg)
 
 
