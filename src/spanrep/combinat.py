@@ -226,11 +226,16 @@ def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@cache
+def _partitions(n: int) -> tuple[Partition, ...]:
+    return tuple(Partition(t) for t in _partition_tuples(n, n))
+
+
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, each exactly once, lexicographically decreasing."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition(t) for t in _partition_tuples(n, n)]
+    return list(_partitions(n))
 
 
 def perm_of_type(rho: Partition, n: int) -> tuple[int, ...]:

@@ -5,8 +5,12 @@ generated by the top k elementary symmetric polynomials of all variables
 and h_k, ..., h_{k-d+1} of each batch of d; lines are d = 1.  Every x_i^k
 lies in I, so the quotient is computed from the truncated ring
 A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
-k.  Each ideal piece, these and the superspace coinvariant ones alike, is
-spanned by one kernel (:func:`_span_piece`) from its generators and the
+k.  Its pieces are walked up by degree (:func:`_ideal_pieces`), each built
+from the two below it, which are all the walk holds; the line oracle keeps
+the last three pieces of the most recent (n, k), per thread, so the many
+readouts of one degree in a decomposition build it once.  Each ideal
+piece, these and the superspace coinvariant ones alike, is spanned by one
+kernel (:func:`_span_piece`) from its generators and the
 degree-one multiples of the pieces below, and row-reduced exactly with
 integer rows.  A chain criterion read off the pivot sets of the pieces
 below skips the products that the kept ones already span
@@ -43,6 +47,8 @@ quotients refuse n > 5.  These fail loudly rather than thrash.
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from functools import cache
 from itertools import (
     accumulate,
@@ -53,10 +59,10 @@ from itertools import (
     product,
     repeat,
 )
-from math import prod
+from math import factorial, prod
 from operator import itemgetter
 
-from .combinat import Partition, cycle_type, perm_of_type
+from .combinat import Partition, cycle_type, partitions_of, perm_of_type, z_lambda
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, quotient_trace
 from .superspace import SuperMonomial, apply_perm, mono_mul
@@ -78,7 +84,7 @@ COMMUTING_MAX_N = 7
 # Largest truncated piece A_d the line and d-plane oracles will span, in
 # monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
 # up to k = 5 (8,135; `decompose_coinvariants(7, 5)`, the largest admitted
-# request, takes about 3.5 s and 100 MB max RSS on a 2-vCPU Xeon VM); it
+# request, takes about 2.5 s and 75 MB max RSS on a 2-vCPU Xeon VM); it
 # refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
 # (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
@@ -237,23 +243,50 @@ def _ideal_piece(
     return _span_piece(gens, multiples(), len(upper))
 
 
-@cache
-def _ideal_basis(n: int, k: int, deg: int) -> EchelonBasis:
-    """:func:`_ideal_piece` for lines, memoized for the line oracle's many
-    reads.  Past A's top degree n(k - 1) the piece has no monomials, so it
-    is empty, built without recursing."""
+def _ideal_pieces(d: int, n: int, k: int):
+    """Yield (deg, piece, standard) for the spanning d-plane ideal in A,
+    deg ascending up to A's top degree d*n*(k - 1): each piece
+    (:func:`_ideal_piece`) with its standard monomials, the monomials of
+    A_deg that are not its pivots, a basis of the degree-deg quotient.
+    Only the two pieces that the next one reads are held."""
+    nvars = d * n
+    below = ideal = None
+    for deg in range(nvars * (k - 1) + 1):
+        below, ideal = ideal, _ideal_piece(d, n, k, deg, ideal, below)
+        yield deg, ideal, ideal.non_pivots(_bounded_monomials(nvars, deg, k))
+
+
+class _LineWindow(threading.local):
+    """The last three line pieces walked, for the most recent (n, k) and
+    per thread: the degrees a decomposition reads, in turn, many times
+    each.  Any other degree walks up from the window's top, or restarts
+    at degree 0 when it lies below the window or (n, k) has changed."""
+
+    key = None  # the (n, k) walked
+    walk = None
+    pieces = ()
+
+
+_window = _LineWindow()
+
+
+def _line_piece(n: int, k: int, deg: int) -> tuple[EchelonBasis, list[tuple[int, ...]]]:
+    """The line ideal's degree-deg piece and its standard monomials.  Past
+    A's top degree n(k - 1) the piece has no monomials, so it is empty,
+    built without walking."""
     if deg > n * (k - 1):
-        return EchelonBasis()
-    below = _ideal_basis(n, k, deg - 1) if deg else None
-    two_below = _ideal_basis(n, k, deg - 2) if deg >= 2 else None
-    return _ideal_piece(1, n, k, deg, below, two_below)
-
-
-@cache
-def _standard_monomials(n: int, k: int, deg: int) -> list[tuple[int, ...]]:
-    """The monomials of A_deg that are not pivots of the line ideal's
-    piece: a basis of the degree-deg quotient, read by every cycle type."""
-    return _ideal_basis(n, k, deg).non_pivots(_bounded_monomials(n, deg, k))
+        return EchelonBasis(), []
+    w = _window
+    if w.key != (n, k) or deg < w.pieces[0][0]:
+        w.key, w.walk, w.pieces = (n, k), _ideal_pieces(1, n, k), deque(maxlen=3)
+    try:
+        while not w.pieces or w.pieces[-1][0] < deg:
+            w.pieces.append(next(w.walk))
+    except BaseException:
+        w.key = None  # a walk cut short cannot resume
+        raise
+    _, piece, standard = w.pieces[deg - w.pieces[0][0]]
+    return piece, standard
 
 
 @cache
@@ -328,7 +361,7 @@ def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     _check_commuting(n, k, d)
-    basis = _ideal_basis(n, k, d)
+    basis, _ = _line_piece(n, k, d)
     return _count_fixed_monomials((1,) * n, k, d) - basis.rank, basis
 
 
@@ -337,13 +370,14 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     if rho.size != n:
         raise ValueError(f"cycle type {rho.parts} is not a partition of {n}")
     _, basis = quotient_basis(n, k, d)
+    standard = _line_piece(n, k, d)[1]
     # the exponents of a permuted monomial are read through w directly (at
     # n = 1, w is the identity and a one-index itemgetter would return a
     # scalar); the trace of w^{-1} is that of w
     permute = itemgetter(*perm_of_type(rho, n)) if n > 1 else tuple
     return quotient_trace(
         basis,
-        _standard_monomials(n, k, d),
+        standard,
         lambda monos: zip(map(permute, monos), repeat(1)),
         _count_fixed_monomials(rho.parts, k, d),
     )
@@ -654,7 +688,11 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     can be moved to the cycle's first batch.  As g runs over G every tuple
     of cycle products comes up equally often, so the mean over G is the
     mean over the (d!)^(number of cycles) elements with one permutation of
-    S_d on each cycle's first batch.  A mean that is not an integer is no
+    S_d on each cycle's first batch.  Conjugating by the h that is one u
+    in S_d on every batch of a cycle turns that cycle's product into
+    u h u^-1 and leaves the rest, so only the S_d class of each cycle
+    product matters: each class is traced once, at one representative,
+    and weighted by its size.  A mean that is not an integer is no
     character value, and raises RuntimeError.
     """
     if not 1 <= d <= k <= d * n:
@@ -662,40 +700,35 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     nvars = d * n
     _guard(n <= COMMUTING_MAX_N, f"d-plane oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
     _check_pieces(nvars, k, None)
-    within = list(permutations(range(d)))
+    classes = [(perm_of_type(mu, d), factorial(d) // z_lambda(mu)) for mu in partitions_of(d)]
 
     by_degree: dict[int, SchurExpansion] = {}
-    below = ideal = None
-    deg = 0
-    while True:
-        below, ideal = ideal, _ideal_piece(d, n, k, deg, ideal, below)
-        standard = ideal.non_pivots(_bounded_monomials(nvars, deg, k))
+    for deg, ideal, standard in _ideal_pieces(d, n, k):
+        if not standard:  # generated in degree one, so every higher piece vanishes too
+            break
 
         def trace(rho):
             sigma = perm_of_type(rho, n)
             # perm_of_type lays the cycles out on consecutive batches
             firsts = [0, *accumulate(rho.parts)][:-1]
             total = 0
-            for hs in product(within, repeat=len(firsts)):
+            for reps in product(classes, repeat=len(firsts)):
                 # variable (i, t) -> (sigma(i), t), or (sigma(i), h(t)) on a first batch
                 w = [sigma[i] * d + t for i in range(n) for t in range(d)]
-                for i, h in zip(firsts, hs):
+                for i, (h, _) in zip(firsts, reps):
                     w[i * d : (i + 1) * d] = [sigma[i] * d + t for t in h]
                 permute = itemgetter(*w) if nvars > 1 else tuple
-                total += quotient_trace(
+                total += prod(size for _, size in reps) * quotient_trace(
                     ideal,
                     standard,
                     lambda monos: zip(map(permute, monos), repeat(1)),
                     _count_fixed_monomials(cycle_type(w), k, deg),
                 )
-            mean, rest = divmod(total, len(within) ** len(firsts))
+            mean, rest = divmod(total, factorial(d) ** len(firsts))
             if rest:
-                raise RuntimeError(f"non-integer mean trace {total}/{len(within)}^{len(firsts)}")
+                raise RuntimeError(f"non-integer mean trace {total}/{factorial(d)}^{len(firsts)}")
             return mean
 
-        if not standard:  # generated in degree one, so every higher piece vanishes too
-            break
         if exp := schur_from_traces(n, trace):
             by_degree[deg] = exp
-        deg += 1
     return GradedFrobenius(n, k, by_degree)

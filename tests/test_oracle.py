@@ -1,4 +1,8 @@
+import gc
+import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
@@ -16,8 +20,9 @@ from spanrep.oracle import (
     _check_commuting,
     _check_pieces,
     _count_fixed_monomials,
-    _ideal_basis,
+    _bounded_monomials,
     _ideal_piece,
+    _ideal_pieces,
     _invariant_basis,
     _multidegree_basis,
     _signed_fixed_trace,
@@ -624,9 +629,71 @@ def test_truncation_monomials_lie_in_the_d_plane_ideal(d, n, k_max):
 def test_line_ideal_pieces_match_step_by_step_reference():
     for n in range(1, 7):
         for k in range(1, n + 1):
-            for deg in range(n * (k - 1) + 2):
-                got = _ideal_basis(n, k, deg).primitive_rows()
-                assert got == reference.line_ideal_basis(n, k, deg).primitive_rows(), (n, k, deg)
+            for deg, piece, standard in _ideal_pieces(1, n, k):
+                expected = reference.line_ideal_basis(n, k, deg)
+                assert piece.primitive_rows() == expected.primitive_rows(), (n, k, deg)
+                assert standard == expected.non_pivots(_bounded_monomials(n, deg, k)), (n, k, deg)
+            assert deg == n * (k - 1)
+            # past A's top degree the piece is empty
+            got = quotient_basis(n, k, deg + 1)[1].primitive_rows()
+            assert got == reference.line_ideal_basis(n, k, deg + 1).primitive_rows() == []
+
+
+def _line_readouts(n, k, d):
+    dim, basis = quotient_basis(n, k, d)
+    traces = [character_on_quotient(n, k, d, rho) for rho in partitions_of(n)]
+    return dim, basis.primitive_rows(), traces
+
+
+def test_line_window_serves_degrees_in_any_order():
+    # the window walks up, or restarts at degree 0, whatever order the
+    # degrees and (n, k) come in
+    pairs = [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+    requests = [(n, k, d) for n, k in pairs for d in range(n * (k - 1) + 2)]
+    in_order = {req: _line_readouts(*req) for req in requests}
+    shuffled = requests[:]
+    random.Random(0).shuffle(shuffled)
+    for req in sorted(requests, key=lambda r: -r[2]) + shuffled:
+        dim, rows, traces = _line_readouts(*req)
+        assert rows == reference.line_ideal_basis(*req).primitive_rows(), req
+        assert (dim, rows, traces) == in_order[req], req
+
+
+def test_line_window_holds_three_pieces():
+    decompose_coinvariants(6, 4)
+    assert oracle._window.key == (6, 4)
+    assert len(oracle._window.pieces) <= 3
+
+
+def test_line_window_restarts_after_a_walk_cut_short(monkeypatch):
+    piece = oracle._ideal_piece
+
+    def cut(d, n, k, deg, *rest):
+        if deg == 3:
+            raise MemoryError
+        return piece(d, n, k, deg, *rest)
+
+    monkeypatch.setattr(oracle, "_ideal_piece", cut)
+    with pytest.raises(MemoryError):
+        quotient_basis(4, 3, 5)
+    monkeypatch.undo()
+    got = quotient_basis(4, 3, 5)[1].primitive_rows()
+    assert got == reference.line_ideal_basis(4, 3, 5).primitive_rows()
+
+
+def test_parallel_line_decompositions_match_sequential():
+    # each thread walks its own window, so interleaved (n, k) stay apart
+    pairs = [(5, 3), (4, 4), (5, 4), (4, 3)]
+    sequential = [decompose_coinvariants(n, k).by_degree for n, k in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-walk
+    try:
+        with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
+            tables = pool.map(lambda p: decompose_coinvariants(*p).by_degree, pairs, timeout=120)
+            parallel = list(tables)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == sequential
 
 
 def _piece_chain(d, n, k):
@@ -721,12 +788,22 @@ def test_piece_guard_matches_exact_counts():
                 assert refused == over, (nvars, k, top)
 
 
+def _live_echelon_bases():
+    gc.collect()
+    return sum(isinstance(obj, EchelonBasis) for obj in gc.get_objects())
+
+
 def test_grassmann_keeps_no_ideal_pieces():
-    # lines memoize their pieces across calls; the d-plane chain is dropped
-    before = _ideal_basis.cache_info().currsize
+    # the d-plane walk is dropped with its decomposition, and the line
+    # window is left as it was
+    decompose_coinvariants(3, 2)
+    window = [piece for _, piece, _ in oracle._window.pieces]
+    before = _live_echelon_bases()
     grassmann_quotient(2, 2, 3)
     grassmann_quotient(3, 2, 4)
-    assert _ideal_basis.cache_info().currsize == before
+    assert _live_echelon_bases() == before
+    assert oracle._window.key == (3, 2)
+    assert all(a is b for a, (_, b, _) in zip(window, oracle._window.pieces, strict=True))
 
 
 def test_hilbert_series_helpers():
