@@ -455,9 +455,10 @@ def main(argv: list[str] | None = None) -> int:
     except ScaleGuardError as exc:
         print(f"scale guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        # The library rejects out-of-range arguments with ValueError, so here
-        # it is a usage error.  RuntimeError stays uncaught: it is how the
+    except (ValueError, OSError) as exc:
+        # The library rejects out-of-range arguments with ValueError, and an
+        # unwritable --cache-dir or --fixtures-dir raises OSError, so here
+        # each is a usage error.  RuntimeError stays uncaught: it is how the
         # exactness tripwires report a bug.
         return _usage_error(str(exc))
 

@@ -6,9 +6,9 @@ and h_k, ..., h_{k-d+1} of each batch of d; lines are d = 1.  Every x_i^k
 lies in I, so the quotient is computed from the truncated ring
 A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
 k.  Its pieces are walked up by degree (:func:`_ideal_pieces`), each built
-from the two below it, which are all the walk holds; the line oracle keeps
-the last three pieces of the most recent (n, k), per thread, so the many
-readouts of one degree in a decomposition build it once.  Each ideal
+from the two below it, which are all the walk holds.  A line decomposition
+reads each piece it walks, once per degree and cycle type, while the walk
+holds it; a standalone readout walks up to its own piece.  Each ideal
 piece, these and the superspace coinvariant ones alike, is spanned by one
 kernel (:func:`_span_piece`) from its generators and the
 degree-one multiples of the pieces below, and row-reduced exactly with
@@ -48,13 +48,13 @@ quotients refuse n > 5.  These fail loudly rather than thrash.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from functools import cache
 from itertools import (
     accumulate,
     chain,
     combinations,
     combinations_with_replacement,
+    islice,
     permutations,
     product,
     repeat,
@@ -84,7 +84,7 @@ COMMUTING_MAX_N = 7
 # Largest truncated piece A_d the line and d-plane oracles will span, in
 # monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
 # up to k = 5 (8,135; `decompose_coinvariants(7, 5)`, the largest admitted
-# request, takes about 2.5 s and 75 MB max RSS on a 2-vCPU Xeon VM); it
+# request, takes about 3 s and 65 MB max RSS on a 2-vCPU Xeon VM); it
 # refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
 # (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
@@ -256,36 +256,30 @@ def _ideal_pieces(d: int, n: int, k: int):
         yield deg, ideal, ideal.non_pivots(_bounded_monomials(nvars, deg, k))
 
 
-class _LineWindow(threading.local):
-    """The last three line pieces walked, for the most recent (n, k) and
-    per thread: the degrees a decomposition reads, in turn, many times
-    each.  Any other degree walks up from the window's top, or restarts
-    at degree 0 when it lies below the window or (n, k) has changed."""
+class _Reading(threading.local):
+    """The line piece a decomposition is reading, per thread, as
+    ((n, k, deg), piece, standard), or None outside a decomposition."""
 
-    key = None  # the (n, k) walked
-    walk = None
-    pieces = ()
+    piece = None
 
 
-_window = _LineWindow()
+_reading = _Reading()
 
 
 def _line_piece(n: int, k: int, deg: int) -> tuple[EchelonBasis, list[tuple[int, ...]]]:
-    """The line ideal's degree-deg piece and its standard monomials.  Past
-    A's top degree n(k - 1) the piece has no monomials, so it is empty,
-    built without walking."""
+    """The line ideal's degree-deg piece and its standard monomials: the
+    one a decomposition is reading, or else, once the request is checked,
+    walked up to from degree 0 and kept by nothing.  Past A's top degree
+    n(k - 1) the piece has no monomials, so it is empty."""
+    slot = _reading.piece
+    if slot is not None and slot[0] == (n, k, deg):
+        return slot[1:]
+    if deg < 0:
+        raise ValueError("degree must be nonnegative")
+    _check_commuting(n, k, deg)
     if deg > n * (k - 1):
         return EchelonBasis(), []
-    w = _window
-    if w.key != (n, k) or deg < w.pieces[0][0]:
-        w.key, w.walk, w.pieces = (n, k), _ideal_pieces(1, n, k), deque(maxlen=3)
-    try:
-        while not w.pieces or w.pieces[-1][0] < deg:
-            w.pieces.append(next(w.walk))
-    except BaseException:
-        w.key = None  # a walk cut short cannot resume
-        raise
-    _, piece, standard = w.pieces[deg - w.pieces[0][0]]
+    _, piece, standard = next(islice(_ideal_pieces(1, n, k), deg, None))
     return piece, standard
 
 
@@ -340,14 +334,11 @@ def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
     )
 
 
-@cache
 def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
     """Validate (n, k) and refuse work beyond the guards before any is done.
 
     top_degree is the highest degree piece the request will span (None
-    for all of them).  Memoized, since a decomposition's readouts
-    re-check their request once per degree and cycle type; a refusal
-    raises, so it is never cached.
+    for all of them).
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -357,20 +348,22 @@ def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
 
 def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
     """Dimension of the degree-d quotient piece and the ideal piece of A_d
-    in RREF."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    _check_commuting(n, k, d)
+    in RREF.
+
+    A standalone read walks the ideal up from degree 0;
+    :func:`decompose_coinvariants` reads every degree in one walk."""
     basis, _ = _line_piece(n, k, d)
     return _count_fixed_monomials((1,) * n, k, d) - basis.rank, basis
 
 
 def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
-    """Trace of a permutation of cycle type rho on the degree-d quotient piece."""
+    """Trace of a permutation of cycle type rho on the degree-d quotient piece.
+
+    A standalone read walks the ideal up from degree 0;
+    :func:`decompose_coinvariants` reads every degree in one walk."""
     if rho.size != n:
         raise ValueError(f"cycle type {rho.parts} is not a partition of {n}")
-    _, basis = quotient_basis(n, k, d)
-    standard = _line_piece(n, k, d)[1]
+    basis, standard = _line_piece(n, k, d)
     # the exponents of a permuted monomial are read through w directly (at
     # n = 1, w is the identity and a one-index itemgetter would return a
     # scalar); the trace of w^{-1} is that of w
@@ -386,25 +379,30 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
 def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> GradedFrobenius:
     """Schur decomposition of every graded piece of the spanning-line quotient.
 
-    Iterates degrees until the quotient piece vanishes; the quotient ring
-    is generated in degree one, so all higher pieces vanish too.
-    `max_degree` truncates early (the result is then flagged, unless the
-    piece there already vanished) which keeps large-n probes affordable
-    when only low degrees are needed.
+    Walks the ideal pieces up by degree (:func:`_ideal_pieces`) and reads
+    each one through :func:`quotient_basis` and :func:`character_on_quotient`
+    while it is recorded as the piece being read, until the quotient piece
+    vanishes; the quotient ring is generated in degree one, so all higher
+    pieces vanish too.  `max_degree` stops the walk early, which keeps
+    large-n probes affordable when only low degrees are needed.
     """
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     _check_commuting(n, k, max_degree)
     by_degree: dict[int, SchurExpansion] = {}
-    d = 0
-    while dim := quotient_basis(n, k, d)[0]:
-        exp = schur_from_traces(n, lambda rho: character_on_quotient(n, k, d, rho))
-        if int(dimension(exp).evaluate()) != dim:
-            raise RuntimeError(f"decomposition dimension mismatch at degree {d}")
-        by_degree[d] = exp
-        if d == max_degree:
-            return GradedFrobenius(n, k, by_degree, truncated=True)
-        d += 1
+    try:
+        for d, piece, standard in _ideal_pieces(1, n, k):
+            _reading.piece = (n, k, d), piece, standard
+            if not (dim := quotient_basis(n, k, d)[0]):
+                break
+            exp = schur_from_traces(n, lambda rho: character_on_quotient(n, k, d, rho))
+            if int(dimension(exp).evaluate()) != dim:
+                raise RuntimeError(f"decomposition dimension mismatch at degree {d}")
+            by_degree[d] = exp
+            if d == max_degree:
+                break
+    finally:
+        _reading.piece = None
     return GradedFrobenius(n, k, by_degree)
 
 

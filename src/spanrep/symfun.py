@@ -146,17 +146,12 @@ class GradedFrobenius:
     """Graded Frobenius image of a spanning configuration ring, one Schur
     expansion per half cohomological degree s that holds any.
 
-    The tableau formula and the quotient-ring oracles both return it;
-    truncated marks a table cut at a maximum degree.
+    The tableau formula and the quotient-ring oracles both return it.
     """
 
     n: int
     k: int
     by_degree: dict[int, SchurExpansion]
-    truncated: bool = False
-
-    def degrees(self) -> list[int]:
-        return sorted(self.by_degree)
 
     def top_degree(self) -> int:
         return max(self.by_degree, default=-1)

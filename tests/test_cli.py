@@ -114,6 +114,24 @@ def test_invalid_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv)
     assert not (tmp_path / "fixtures").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobenius", "3", "2", "--cache-dir", "{file}/c"],
+        ["explore", "--problem", "zabrocki-t0", "--n", "2", "--fixtures-dir", "{file}/f"],
+    ],
+)
+def test_unwritable_directory_is_usage_error(capsys, tmp_path, argv):
+    # a directory under a regular file cannot be made
+    file = tmp_path / "file"
+    file.write_text("")
+    code, out, err = run_cli(capsys, *(arg.format(file=file) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 

@@ -151,7 +151,6 @@ def test_truncated_oracle_matches_full_ring_reference(n):
 def test_decompose_2_2():
     dec = decompose_coinvariants(2, 2)
     assert dec.by_degree == {0: exp_of(2, ((2,), 1)), 1: exp_of(2, ((1, 1), 1))}
-    assert not dec.truncated
 
 
 def test_decompose_point_case():
@@ -189,17 +188,10 @@ def test_decompose_full_flag_is_graded_regular_representation():
 
 def test_decompose_max_degree_truncation():
     dec = decompose_coinvariants(4, 4, max_degree=2)
-    assert dec.truncated
     assert sorted(dec.by_degree) == [0, 1, 2]
     full = decompose_coinvariants(4, 4)
     for d in range(3):
         assert dec.by_degree[d] == full.by_degree[d]
-
-
-def test_max_degree_at_a_zero_piece_is_not_truncated():
-    # the (3,1) quotient vanishes from degree 1, so a cut there cuts nothing
-    assert not decompose_coinvariants(3, 1, max_degree=1).truncated
-    assert decompose_coinvariants(3, 1, max_degree=0).truncated
 
 
 def test_line_readouts_past_the_top_degree_do_not_recurse():
@@ -218,10 +210,10 @@ def test_oracle_scale_guard():
 
 
 def test_public_readouts_keep_their_guards():
-    # the check is memoized for the readouts a decomposition repeats; each
-    # public readout still refuses an over-budget request on its own
+    # each public readout refuses an over-budget request on its own, before
+    # any work, and refuses it again when asked again
     rho = Partition((1,) * 8)
-    for _ in range(2):  # a refusal is not memoized away
+    for _ in range(2):
         for call in (lambda: character_on_quotient(8, 2, 0, rho), lambda: quotient_basis(7, 6, 12)):
             start = time.perf_counter()
             with pytest.raises(ScaleGuardError):
@@ -249,7 +241,6 @@ def test_oracle_piece_budget():
         decompose_coinvariants(7, 7)
     # a truncated request is judged by the pieces it spans
     low = decompose_coinvariants(7, 7, max_degree=2)
-    assert low.truncated
     formula = grfrob_tableaux(7, 7).by_degree
     assert all(low.by_degree[d] == formula[d] for d in range(3))
 
@@ -639,33 +630,70 @@ def test_line_ideal_pieces_match_step_by_step_reference():
             assert got == reference.line_ideal_basis(n, k, deg + 1).primitive_rows() == []
 
 
-def _line_readouts(n, k, d):
-    dim, basis = quotient_basis(n, k, d)
-    traces = [character_on_quotient(n, k, d, rho) for rho in partitions_of(n)]
-    return dim, basis.primitive_rows(), traces
+def _watch_readouts(monkeypatch, record):
+    """Wrap the two line readouts by module attribute, as the benchmark's
+    tracer does, and call record(name, args, result) after each call."""
+    for name in ("quotient_basis", "character_on_quotient"):
+
+        def watched(*args, name=name, read=getattr(oracle, name)):
+            result = read(*args)
+            record(name, args, result)
+            return result
+
+        monkeypatch.setattr(oracle, name, watched)
 
 
-def test_line_window_serves_degrees_in_any_order():
-    # the window walks up, or restarts at degree 0, whatever order the
-    # degrees and (n, k) come in
+def test_decomposition_reads_through_the_traced_readouts(monkeypatch):
+    # the benchmark traces these two names; a decomposition that routed
+    # around them would leave their spans empty
+    calls = {}
+
+    def count(name, args, _):
+        calls[name, args[2]] = calls.get((name, args[2]), 0) + 1
+
+    _watch_readouts(monkeypatch, count)
+    top = max(decompose_coinvariants(4, 3).by_degree)
+    # every degree up to the first zero piece, which ends the walk
+    assert calls == {
+        **{("quotient_basis", d): 1 for d in range(top + 2)},
+        **{("character_on_quotient", d): 5 for d in range(top + 1)},  # p(4) cycle types
+    }
+
+
+def test_standalone_line_readouts_match_the_decomposition(monkeypatch):
+    # a standalone readout walks up to its own piece, whatever order the
+    # degrees and (n, k) come in, and reads what the decomposition read
     pairs = [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+    seen = {}
+
+    def record(name, args, result):
+        seen[args] = (result[0], result[1].primitive_rows()) if name == "quotient_basis" else result
+
+    _watch_readouts(monkeypatch, record)
+    for n, k in pairs:
+        decompose_coinvariants(n, k)
+    monkeypatch.undo()
     requests = [(n, k, d) for n, k in pairs for d in range(n * (k - 1) + 2)]
-    in_order = {req: _line_readouts(*req) for req in requests}
-    shuffled = requests[:]
-    random.Random(0).shuffle(shuffled)
-    for req in sorted(requests, key=lambda r: -r[2]) + shuffled:
-        dim, rows, traces = _line_readouts(*req)
-        assert rows == reference.line_ideal_basis(*req).primitive_rows(), req
-        assert (dim, rows, traces) == in_order[req], req
+    assert {args[:3] for args in seen} <= set(requests)
+    random.Random(0).shuffle(requests)
+    for n, k, d in requests:
+        dim, basis = quotient_basis(n, k, d)
+        rows = basis.primitive_rows()
+        assert rows == reference.line_ideal_basis(n, k, d).primitive_rows(), (n, k, d)
+        assert seen.get((n, k, d), (dim, rows)) == (dim, rows), (n, k, d)
+        for rho in partitions_of(n):
+            trace = character_on_quotient(n, k, d, rho)
+            assert seen.get((n, k, d, rho), trace) == trace, (n, k, d, rho)
 
 
-def test_line_window_holds_three_pieces():
+def test_line_decomposition_keeps_no_pieces():
+    before = _live_echelon_bases()
     decompose_coinvariants(6, 4)
-    assert oracle._window.key == (6, 4)
-    assert len(oracle._window.pieces) <= 3
+    assert _live_echelon_bases() == before
+    assert oracle._reading.piece is None
 
 
-def test_line_window_restarts_after_a_walk_cut_short(monkeypatch):
+def test_line_decomposition_cut_short_records_no_piece(monkeypatch):
     piece = oracle._ideal_piece
 
     def cut(d, n, k, deg, *rest):
@@ -675,14 +703,14 @@ def test_line_window_restarts_after_a_walk_cut_short(monkeypatch):
 
     monkeypatch.setattr(oracle, "_ideal_piece", cut)
     with pytest.raises(MemoryError):
-        quotient_basis(4, 3, 5)
+        decompose_coinvariants(4, 3)
+    assert oracle._reading.piece is None
     monkeypatch.undo()
-    got = quotient_basis(4, 3, 5)[1].primitive_rows()
-    assert got == reference.line_ideal_basis(4, 3, 5).primitive_rows()
+    assert decompose_coinvariants(4, 3).by_degree == grfrob_tableaux(4, 3).by_degree
 
 
 def test_parallel_line_decompositions_match_sequential():
-    # each thread walks its own window, so interleaved (n, k) stay apart
+    # each thread records its own piece, so interleaved (n, k) stay apart
     pairs = [(5, 3), (4, 4), (5, 4), (4, 3)]
     sequential = [decompose_coinvariants(n, k).by_degree for n, k in pairs]
     interval = sys.getswitchinterval()
@@ -794,16 +822,11 @@ def _live_echelon_bases():
 
 
 def test_grassmann_keeps_no_ideal_pieces():
-    # the d-plane walk is dropped with its decomposition, and the line
-    # window is left as it was
-    decompose_coinvariants(3, 2)
-    window = [piece for _, piece, _ in oracle._window.pieces]
+    # the d-plane walk is dropped with its decomposition
     before = _live_echelon_bases()
     grassmann_quotient(2, 2, 3)
     grassmann_quotient(3, 2, 4)
     assert _live_echelon_bases() == before
-    assert oracle._window.key == (3, 2)
-    assert all(a is b for a, (_, b, _) in zip(window, oracle._window.pieces, strict=True))
 
 
 def test_hilbert_series_helpers():
