@@ -41,6 +41,7 @@ from .oracle import (
     elementary_sym,
     grassmann_quotient,
     quotient_basis,
+    super_coinvariant_table,
 )
 from .stability import (
     MultiplicitySequence,

@@ -20,11 +20,7 @@ from .cache import ENV_CACHE_DIR, cache_get, cache_key, cache_put, write_atomic
 from .combinat import Partition
 from .errors import ScaleGuardError
 from .formula import FixedCodim, FixedK, grfrob_tableaux
-from .oracle import (
-    decompose_coinvariants,
-    decompose_super_coinvariants,
-    grassmann_quotient,
-)
+from .oracle import decompose_coinvariants, grassmann_quotient, super_coinvariant_table
 from .serialize import (
     degree_table_from_json,
     degree_table_to_json,
@@ -179,6 +175,8 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    if args.s < 0:
+        return _usage_error(f"need s >= 0, got s = {args.s}")
     if args.fixed_k is not None and args.fixed_k < 1:
         return _usage_error(f"need k >= 1, got --fixed-k {args.fixed_k}")
     if args.fixed_codim is not None and args.fixed_codim < 0:
@@ -323,17 +321,11 @@ def _explore_rw_twist(n: int) -> dict:
 
 def _explore_zabrocki_t0(n: int) -> dict:
     # bigraded table of the superspace coinvariant quotient
-    top_x = n * (n - 1) // 2  # x-degrees are bounded by the coinvariant top degree
-    r_entries = []
-    by_theta: dict[int, dict[int, SchurExpansion]] = {}
-    for b in range(n + 1):
-        for a in range(top_x + 1):
-            exp = decompose_super_coinvariants(n, (a,), (b,))
-            if exp:
-                r_entries.append(
-                    {"x_degree": a, "theta_degree": b, "expansion": expansion_to_json(exp)}
-                )
-                by_theta.setdefault(b, {})[a] = exp
+    table = super_coinvariant_table(n)
+    r_entries = [
+        {"x_degree": a, "theta_degree": b, "expansion": expansion_to_json(exp)}
+        for (a, b), exp in table.items()
+    ]
     # assembled theta-degree slices of the closure spaces
     v_entries = []
     agrees = True
@@ -342,8 +334,7 @@ def _explore_zabrocki_t0(n: int) -> dict:
         v_entries.append(
             {"k": k, "theta_degree": n - k, "expansion": expansion_to_json(v_slice)}
         )
-        if q_graded(n, by_theta.get(n - k, {})) != v_slice:
-            agrees = False
+        agrees &= q_graded(n, {a: exp for (a, b), exp in table.items() if b == n - k}) == v_slice
     return {
         "kind": "experiment",
         "problem": "zabrocki-t0",

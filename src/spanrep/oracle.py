@@ -21,7 +21,8 @@ A piece stops spanning once its rank is the number of monomials.  A
 superspace piece is full outright when a piece one step below it is,
 since every monomial is, up to sign, a degree-one generator times a
 monomial one step lower; a full superspace piece holds no rows (it is
-None), and its quotient is zero, read without traces.
+None), and its quotient is zero, read without traces.  Superspace pieces
+live only as long as the table walk or standalone call that built them.
 The diagonal invariants that generate the superspace coinvariant ideal
 are signed orbit sums of super-monomials, one per orbit
 (:func:`_invariant_basis`); disjoint supports make them independent as they
@@ -78,6 +79,7 @@ __all__ = [
     "grassmann_quotient",
     "monomials_of_degree",
     "quotient_basis",
+    "super_coinvariant_table",
 ]
 
 COMMUTING_MAX_N = 7
@@ -89,7 +91,7 @@ COMMUTING_MAX_N = 7
 # (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
 # Superspace quotients admit n <= 5 and refuse n = 6.  The largest admitted
-# request, `spanrep explore --problem zabrocki-t0 --n 5`, takes about 5 s
+# request, `spanrep explore --problem zabrocki-t0 --n 5`, takes about 4 s
 # and 51 MB max RSS on a 2-vCPU Xeon VM.
 SUPER_QUOTIENT_MAX_N = 5
 
@@ -257,10 +259,12 @@ def _ideal_pieces(d: int, n: int, k: int):
 
 
 class _Reading(threading.local):
-    """The line piece a decomposition is reading, per thread, as
-    ((n, k, deg), piece, standard), or None outside a decomposition."""
+    """What a walk is reading, per thread, or None outside one: the line
+    piece, as ((n, k, deg), piece, standard), and a superspace table
+    walk's pieces, as (n, {(alpha, beta): piece})."""
 
     piece = None
+    super_pieces = None
 
 
 _reading = _Reading()
@@ -509,16 +513,16 @@ def _quotients(mono: SuperMonomial, batch: int, m: int):
             yield l, SuperMonomial(xs, thetas[:c] + (t[:pos] + t[pos + 1 :],) + thetas[c + 1 :])
 
 
-@cache
 def _super_ideal_basis(
-    n: int, alpha: tuple[int, ...], beta: tuple[int, ...]
+    n: int, alpha: tuple[int, ...], beta: tuple[int, ...], pieces: dict
 ) -> EchelonBasis | None:
     """Multidegree (alpha, beta) piece of the ideal generated by the
     positive-multidegree diagonal invariants, or None when the ideal fills
     the multidegree: its invariants plus each degree-one generator g (an
     x_j or theta_j of one batch) times the piece one step below in g's
     batch.  Every positive-degree monomial is such a g times a monomial
-    one step lower, so these products span the rest.
+    one step lower, so these products span the rest.  Each piece built
+    goes into pieces, keyed (alpha, beta), a dict that the caller owns.
 
     For the same reason the piece is full as soon as one piece below it
     is: each monomial is then, up to sign, a generator times an ideal
@@ -580,6 +584,8 @@ def _super_ideal_basis(
     batch and with the theta batches first, every skipped product lies in
     the span of the kept ones.
     """
+    if (alpha, beta) in pieces:
+        return pieces[alpha, beta]
     md, m = alpha + beta, len(alpha)
     if not any(md):
         return EchelonBasis()  # the ideal has no constants
@@ -592,13 +598,13 @@ def _super_ideal_basis(
             lower[i] -= 1
         if min(lower) < 0:
             return EchelonBasis()  # no such multidegree: nothing to skip against
-        return _super_ideal_basis(n, tuple(lower[:m]), tuple(lower[m:]))
+        return _super_ideal_basis(n, tuple(lower[:m]), tuple(lower[m:]), pieces)
 
     below = []
     for i, e in enumerate(md):
         if e:
-            piece = down(i)
-            if piece is None:
+            if (piece := down(i)) is None:
+                pieces[alpha, beta] = None
                 return None
             below.append((i, piece))
 
@@ -628,7 +634,8 @@ def _super_ideal_basis(
 
     dim = len(_multidegree_basis(n, alpha, beta))
     basis = _span_piece(_invariant_basis(n, alpha, beta), multiples(), dim)
-    return None if basis.rank == dim else basis
+    pieces[alpha, beta] = None if basis.rank == dim else basis
+    return pieces[alpha, beta]
 
 
 def decompose_super_coinvariants(
@@ -640,13 +647,16 @@ def decompose_super_coinvariants(
     The invariants of each multidegree are orbit sums, and the ideal piece
     is built from the pieces one step below it (:func:`_super_ideal_basis`).
     A piece the ideal fills has the zero quotient, read without traces.
+    A table walk (:func:`super_coinvariant_table`) lends this call its
+    pieces; a standalone call keeps none.
     """
     _check_multidegree(alpha, beta)
     _guard(
         n <= SUPER_QUOTIENT_MAX_N,
         f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}",
     )
-    ideal = _super_ideal_basis(n, alpha, beta)
+    slot = _reading.super_pieces
+    ideal = _super_ideal_basis(n, alpha, beta, slot[1] if slot and slot[0] == n else {})
     if ideal is None:
         return SchurExpansion(n)
     standard = ideal.non_pivots(_multidegree_basis(n, alpha, beta))
@@ -659,6 +669,24 @@ def decompose_super_coinvariants(
         )
 
     return schur_from_traces(n, trace)
+
+
+def super_coinvariant_table(n: int) -> dict[tuple[int, int], SchurExpansion]:
+    """The nonzero quotient pieces in one x and one theta batch, keyed
+    (x-degree, theta-degree), theta-degree outer, up to the degrees
+    n(n-1)/2 and n past which every piece is zero.  Each is read through
+    :func:`decompose_super_coinvariants` from this walk's own ideal pieces,
+    recorded per thread, so each is built once and none outlives the walk."""
+    _reading.super_pieces = n, {}
+    try:
+        table = {}
+        for b in range(n + 1):
+            for a in range(n * (n - 1) // 2 + 1):
+                if exp := decompose_super_coinvariants(n, (a,), (b,)):
+                    table[a, b] = exp
+        return table
+    finally:
+        _reading.super_pieces = None
 
 
 # -- Grassmann presentation --------------------------------------------

@@ -92,6 +92,7 @@ def test_frobenius_oracle_guard_by_piece_size(capsys):
         ["stability", "1", "3", "--fixed-k", "2", "--n-max", "0"],
         ["stability", "-", "1", "--fixed-k", "0", "--n-max", "10"],
         ["stability", "-", "1", "--fixed-codim", "-1", "--n-max", "10"],
+        ["stability", "-", "-1", "--fixed-k", "2", "--n-max", "3"],
         ["explore", "--problem", "grassmann", "--d", "2", "--n", "1", "--k", "5"],
         ["explore", "--problem", "zabrocki-t0", "--n", "-1"],
         ["explore", "--problem", "rw-twist", "--n", "0"],

@@ -5,7 +5,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -37,6 +37,7 @@ from spanrep.oracle import (
     monomials_of_degree,
     perm_of_type,
     quotient_basis,
+    super_coinvariant_table,
 )
 from spanrep.superspace import apply_perm
 from spanrep.symfun import SchurExpansion, dimension
@@ -409,9 +410,15 @@ def test_invariant_orbit_sums_match_full_symmetrization():
                 _assert_invariants_match_reference(n, (a,), (b,))
 
 
-def _assert_piece_matches(n, alpha, beta, expected):
-    piece = _super_ideal_basis(n, alpha, beta)
-    dim = len(_multidegree_basis(n, alpha, beta))
+def _multidegree_dim(n, alpha, beta):
+    # monomials of degree a in n x's, times b-subsets of n thetas, per batch
+    return prod(comb(a + n - 1, a) for a in alpha) * prod(comb(n, b) for b in beta)
+
+
+def _assert_piece_matches(n, alpha, beta, expected, pieces):
+    # pieces: the dict of one walk, shared by the calls on one box of multidegrees
+    piece = _super_ideal_basis(n, alpha, beta, pieces)
+    dim = _multidegree_dim(n, alpha, beta)
     if piece is None:
         # a full piece holds no rows; its reduced basis is the unit rows
         assert expected.rank == dim, (n, alpha, beta)
@@ -420,13 +427,13 @@ def _assert_piece_matches(n, alpha, beta, expected):
         assert piece.primitive_rows() == expected.primitive_rows(), (n, alpha, beta)
 
 
-def _assert_ideal_matches_reference(n, alpha, beta):
+def _assert_ideal_matches_reference(n, alpha, beta, pieces):
     _assert_invariants_match_reference(n, alpha, beta)
-    _assert_piece_matches(n, alpha, beta, reference.super_ideal_basis(n, alpha, beta))
+    _assert_piece_matches(n, alpha, beta, reference.super_ideal_basis(n, alpha, beta), pieces)
 
 
-def _assert_ideal_matches_unpruned_step(n, alpha, beta):
-    _assert_piece_matches(n, alpha, beta, reference.super_ideal_step(n, alpha, beta))
+def _assert_ideal_matches_unpruned_step(n, alpha, beta, pieces):
+    _assert_piece_matches(n, alpha, beta, reference.super_ideal_step(n, alpha, beta), pieces)
 
 
 def _super_multidegrees(n, m, p):
@@ -444,28 +451,32 @@ SUPER_BATCH_SHAPES = [(1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
 @pytest.mark.parametrize("m, p", SUPER_BATCH_SHAPES)
 def test_super_ideal_recursion_matches_cofactor_span(m, p):
     for n in range(1, 4):
+        pieces = {}
         for alpha, beta in _super_multidegrees(n, m, p):
-            _assert_ideal_matches_reference(n, alpha, beta)
+            _assert_ideal_matches_reference(n, alpha, beta, pieces)
 
 
 def test_super_ideal_recursion_matches_cofactor_span_n4():
     # the whole range of `explore --problem zabrocki-t0 --n 4`
+    pieces = {}
     for a in range(7):
         for b in range(5):
-            _assert_ideal_matches_reference(4, (a,), (b,))
+            _assert_ideal_matches_reference(4, (a,), (b,), pieces)
 
 
 @pytest.mark.parametrize("m, p", SUPER_BATCH_SHAPES)
 def test_super_ideal_chain_criterion_matches_unpruned_step(m, p):
     for n in range(1, 4):
+        pieces = {}
         for alpha, beta in _super_multidegrees(n, m, p):
-            _assert_ideal_matches_unpruned_step(n, alpha, beta)
+            _assert_ideal_matches_unpruned_step(n, alpha, beta, pieces)
 
 
 def test_super_ideal_chain_criterion_matches_unpruned_step_n4():
+    pieces = {}
     for a in range(7):
         for b in range(5):
-            _assert_ideal_matches_unpruned_step(4, (a,), (b,))
+            _assert_ideal_matches_unpruned_step(4, (a,), (b,), pieces)
 
 
 @pytest.mark.parametrize("m, p", SUPER_BATCH_SHAPES)
@@ -483,8 +494,8 @@ def test_super_coinvariants_match_traced_reference_quotient(m, p):
 
 def _count_zabrocki_inserts(monkeypatch):
     """(invariant inserts, product inserts, rank the products grew) over
-    the `explore --problem zabrocki-t0` loop up to n = 4."""
-    _super_ideal_basis.cache_clear()
+    the `explore --problem zabrocki-t0` tables up to n = 4; a piece that
+    a table dropped and built again would be counted twice."""
     invariants = []  # kept alive, so no product can reuse one's identity
     counts = {"invariants": 0, "products": 0, "grown": 0}
     insert = EchelonBasis.insert
@@ -504,14 +515,12 @@ def _count_zabrocki_inserts(monkeypatch):
     monkeypatch.setattr(oracle, "_invariant_basis", tagged)
     monkeypatch.setattr(EchelonBasis, "insert", counted)
     for n in range(1, 5):
-        for b in range(n + 1):
-            for a in range(n * (n - 1) // 2 + 1):
-                decompose_super_coinvariants(n, (a,), (b,))
+        super_coinvariant_table(n)
     return counts["invariants"], counts["products"], counts["grown"]
 
 
 def test_super_coinvariants_skip_what_full_pieces_below_fill(monkeypatch):
-    # the loop made 15,259 inserts before full pieces were recognised,
+    # the tables made 15,259 inserts before full pieces were recognised,
     # 6,101 before the chain criterion and full pieces without rows, and
     # makes 1,826 now (131 invariants, 1,695 products)
     invariants, products, _ = _count_zabrocki_inserts(monkeypatch)
@@ -531,21 +540,93 @@ def test_super_pieces_past_the_coinvariant_top_are_full(m, p):
     # finds those full and the others as the library does
     for n in range(1, 5):
         top = n * (n - 1) // 2
+        pieces = {}
         for md in product(range(top + 5), repeat=m + p):
             alpha, beta = md[:m], md[m:]
             if sum(md) > top + 4:
                 continue
-            dim = len(_multidegree_basis(n, alpha, beta))
+            dim = _multidegree_dim(n, alpha, beta)
             full = reference.super_ideal_step(n, alpha, beta).rank == dim
             past = max(alpha, default=0) > top or max(beta, default=0) > n
             assert full >= past, (n, alpha, beta)
-            assert (_super_ideal_basis(n, alpha, beta) is None) == full, (n, alpha, beta)
+            assert (_super_ideal_basis(n, alpha, beta, pieces) is None) == full, (n, alpha, beta)
 
 
 def test_deep_super_coinvariant_piece_does_not_recurse():
     start = time.perf_counter()
     assert decompose_super_coinvariants(2, (1500,), (0,)) == SchurExpansion(2)
     assert time.perf_counter() - start < 1.0
+
+
+def test_super_table_matches_standalone_pieces():
+    # the table reads every piece of its grid, theta-degree outer, and
+    # keeps the nonzero ones
+    for n in range(1, 5):
+        table = super_coinvariant_table(n)
+        assert list(table) == sorted(table, key=lambda ab: ab[::-1])
+        for b in range(n + 1):
+            for a in range(n * (n - 1) // 2 + 1):
+                exp = decompose_super_coinvariants(n, (a,), (b,))
+                assert table.get((a, b)) == (exp or None), (n, a, b)
+
+
+def test_super_table_keeps_no_pieces():
+    before = _live_echelon_bases()
+    super_coinvariant_table(4)
+    assert _live_echelon_bases() == before
+    assert oracle._reading.super_pieces is None
+
+
+def test_super_table_cut_short_keeps_no_pieces(monkeypatch):
+    expected = super_coinvariant_table(4)
+    span = oracle._span_piece
+    calls = 0
+
+    def cut(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 10:
+            raise MemoryError
+        return span(*args)
+
+    before = _live_echelon_bases()
+    monkeypatch.setattr(oracle, "_span_piece", cut)
+    with pytest.raises(MemoryError):
+        super_coinvariant_table(4)
+    assert oracle._reading.super_pieces is None
+    assert _live_echelon_bases() == before
+    monkeypatch.undo()
+    assert super_coinvariant_table(4) == expected
+
+
+def test_parallel_super_tables_match_sequential():
+    # each thread records its own walk's pieces, so interleaved walks stay apart
+    ns = [4, 3, 4, 2]
+    sequential = [list(super_coinvariant_table(n).items()) for n in ns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-walk
+    try:
+        with ThreadPoolExecutor(max_workers=len(ns)) as pool:
+            tables = pool.map(lambda n: list(super_coinvariant_table(n).items()), ns, timeout=120)
+            parallel = list(tables)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == sequential
+
+
+def test_super_table_reads_through_the_traced_decomposition(monkeypatch):
+    # the benchmark traces this name by module attribute; a table that
+    # routed around it would leave its span empty
+    calls = []
+    read = oracle.decompose_super_coinvariants
+
+    def watched(n, alpha, beta):
+        calls.append((n, alpha, beta))
+        return read(n, alpha, beta)
+
+    monkeypatch.setattr(oracle, "decompose_super_coinvariants", watched)
+    super_coinvariant_table(3)
+    assert sorted(calls) == [(3, (a,), (b,)) for a in range(4) for b in range(4)]
 
 
 def test_super_coinvariants_scale_guard():
@@ -766,7 +847,10 @@ def test_ideal_pieces_insert_little_beyond_their_rank(n, k, monkeypatch):
 
 def test_finished_ideal_pieces_keep_no_insertion_index():
     assert all(piece._holders is None for piece in _piece_chain(2, 2, 3))
-    assert _super_ideal_basis(3, (1,), (1,))._holders is None
+    pieces = {}  # one walk: (2,),(1,) and the four pieces below it, all with rows
+    _super_ideal_basis(3, (2,), (1,), pieces)
+    assert len(pieces) == 5
+    assert all(piece._holders is None for piece in pieces.values())
 
 
 def test_grassmann_validation_and_guard():
