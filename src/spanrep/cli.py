@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -22,12 +24,13 @@ from .errors import ScaleGuardError
 from .formula import FixedCodim, FixedK, grfrob_tableaux
 from .oracle import decompose_coinvariants, grassmann_quotient, super_coinvariant_table
 from .serialize import (
-    degree_table_from_json,
     degree_table_to_json,
     envelope_bytes,
     expansion_to_json,
     make_envelope,
+    partition_from_json,
     payloads_equal,
+    poly_from_json,
     poly_to_json,
     schur_table_to_csv,
     superpoly_to_json,
@@ -110,18 +113,26 @@ def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> d
     }
 
 
-def _printable_frobenius(payload, n: int, source: str) -> bool:
-    """Whether a cached payload holds, for exactly the sources that source
-    names, degree tables of S_n that parse, and the diff those tables give."""
-    if not isinstance(payload, dict):
+def _printable_frobenius(payload, params: dict) -> bool:
+    """Whether a cached payload is one the request params prints: the
+    request's kind, n, k and max_degree; tables for exactly the sources it
+    names, each row a partition of n in a degree from 0 to max_degree with
+    a positive constant coefficient; and the diff those tables give."""
+    n, top = params["n"], params["max_degree"]
+    header = {"kind": "frobenius_table", "n": n, "k": params["k"], "max_degree": top}
+    if not isinstance(payload, dict) or any(payload.get(f) != v for f, v in header.items()):
         return False
     sources = payload.get("sources")
-    names = {"formula", "oracle"} if source == "both" else {source}
+    names = {"formula", "oracle"} if params["source"] == "both" else {params["source"]}
     if not isinstance(sources, dict) or set(sources) != names:
         return False
+    bound = math.inf if top is None else top
     try:
-        for rows in sources.values():
-            degree_table_from_json(rows, n)
+        for row in chain.from_iterable(sources.values()):
+            if not 0 <= row["degree"] <= bound or partition_from_json(row["shape"]).size != n:
+                return False
+            if not (coeff := poly_from_json(row["coeff"])).is_constant() or coeff.coefficient() < 1:
+                return False
         return payload.get("diff") == _table_diff(sources)
     except (KeyError, TypeError, ValueError):
         return False
@@ -137,7 +148,7 @@ def cmd_frobenius(args) -> int:
     envelope = None
     if cache_dir is not None:
         status, cached = cache_get(cache_dir, key)
-        if status == "hit" and not _printable_frobenius(cached["payload"], n, args.source):
+        if status == "hit" and not _printable_frobenius(cached["payload"], params):
             status = "corrupt"
         if status == "corrupt":
             print("warning: corrupt cache entry, recomputing", file=sys.stderr)

@@ -6,10 +6,10 @@ variables q, t, z.  Everything is pure and deterministic, and enumeration
 orders are pinned (partitions lexicographically decreasing, tableaux by
 earliest-row placement) so serialized output stays stable.
 
-Memo tables (they only grow): `_partition_tuples`, `_syt_rows` (every
-enumerated tableau), `_des_maj_by_last_row` (the (des, maj) counts behind
-`des_maj_counts`, keyed by shape, row of the largest entry and maj cap),
-`_qbin` and `_cpb`.
+Memo tables (they only grow): `_partition_tuples`, `_partitions` (the
+`Partition`s of each n), `_syt_rows` (every enumerated tableau),
+`_des_maj_by_last_row` (the (des, maj) counts behind `des_maj_counts`,
+keyed by shape, row of the largest entry and maj cap), `_qbin` and `_cpb`.
 """
 
 from __future__ import annotations
@@ -471,8 +471,6 @@ def count_partitions_bounded(s: int, max_parts: int | None = None, max_part: int
     """
     if s < 0:
         return 0
-    if s == 0:
-        return 0 if (max_parts is not None and max_parts < 0) or (max_part is not None and max_part < 0) else 1
     a = s if max_parts is None else max_parts
     b = s if max_part is None else max_part
     if a < 0 or b < 0:

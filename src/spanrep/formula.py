@@ -119,8 +119,6 @@ def stable_multiplicity(mu: Partition, s: int, mode: Mode) -> int:
         return 0  # maj of any tableau of a padded shape is at least |mu|
     big_n = stabilization_bound(mu, s, mode)
     if isinstance(mode, FixedK):
-        if mode.k < 1:
-            return 0
         return shape_multiplicity(pad(mu, big_n), mode.k, s)
     return shape_multiplicity(pad(mu, big_n), big_n - mode.m, s)
 

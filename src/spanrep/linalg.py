@@ -42,8 +42,6 @@ def _integer_vector(vec: Vector) -> dict:
     if set(map(type, values)) <= _INT:  # plain ints: nothing to scale
         return dict(vec) if all(values) else {k: c for k, c in vec.items() if c}
     den = lcm(*(c.denominator for c in values))
-    if den == 1:
-        return {k: int(c) for k, c in vec.items() if c}
     return {k: c.numerator * (den // c.denominator) for k, c in vec.items() if c}
 
 

@@ -6,11 +6,12 @@ and h_k, ..., h_{k-d+1} of each batch of d; lines are d = 1.  Every x_i^k
 lies in I, so the quotient is computed from the truncated ring
 A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
 k.  Its pieces are walked up by degree (:func:`_ideal_pieces`), each built
-from the two below it, which are all the walk holds.  A line decomposition
-reads each piece it walks, once per degree and cycle type, while the walk
-holds it; a standalone readout walks up to its own piece.  Each ideal
-piece, these and the superspace coinvariant ones alike, is spanned by one
-kernel (:func:`_span_piece`) from its generators and the
+from the two below it, which are all the walk holds; the walk hands each
+piece its standard monomials, and their number is the quotient dimension.
+A line decomposition reads each piece it walks, once per degree and cycle
+type, while the walk holds it; a standalone readout walks up to its own
+piece.  Each ideal piece, these and the superspace coinvariant ones alike,
+is spanned by one kernel (:func:`_span_piece`) from its generators and the
 degree-one multiples of the pieces below, and row-reduced exactly with
 integer rows.  A chain criterion read off the pivot sets of the pieces
 below skips the products that the kept ones already span
@@ -118,6 +119,8 @@ def _bounded_monomials(nvars: int, d: int, bound: int) -> tuple[tuple[int, ...],
 
 def monomials_of_degree(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of total degree d, lexicographically ascending."""
+    if nvars < 0:
+        raise ValueError("n must be nonnegative")
     return _bounded_monomials(nvars, d, d + 1)
 
 
@@ -220,10 +223,7 @@ def _ideal_piece(
     nvars = d * n
     gens = [{m: c for m, c in g.items() if max(m) < k} for g in _generators(d, n, k, deg)]
     rows = below.primitive_rows() if below is not None else []
-    monomials = _bounded_monomials(nvars, deg, k)
-    if not rows:
-        return _span_piece(gens, (), len(monomials))
-    upper = {m: (m, 1) for m in monomials}
+    upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
     old = set(two_below.pivots()) if two_below is not None else set()
     parents = [
         [i for i in range(nvars) if p[i] and p[:i] + (p[i] - 1,) + p[i + 1 :] in old]
@@ -281,9 +281,7 @@ def _line_piece(n: int, k: int, deg: int) -> tuple[EchelonBasis, list[tuple[int,
     if deg < 0:
         raise ValueError("degree must be nonnegative")
     _check_commuting(n, k, deg)
-    if deg > n * (k - 1):
-        return EchelonBasis(), []
-    _, piece, standard = next(islice(_ideal_pieces(1, n, k), deg, None))
+    _, piece, standard = next(islice(_ideal_pieces(1, n, k), deg, None), (deg, EchelonBasis(), []))
     return piece, standard
 
 
@@ -307,9 +305,16 @@ def _fixed_monomial_counts(cycles: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _count_fixed_monomials(cycles: tuple[int, ...], k: int, d: int) -> int:
+def _permuted_trace(piece: EchelonBasis, standard, w, cycles, k: int, deg: int) -> int:
+    """Trace of the variable permutation w, of these cycle lengths, on the
+    quotient of A_deg by piece, whose standard monomials are standard.  A
+    permuted monomial's exponents are read through w directly (with one
+    variable, w is the identity and a one-index itemgetter would return a
+    scalar); the trace of w^{-1} is that of w."""
+    permute = itemgetter(*w) if len(w) > 1 else tuple
     counts = _fixed_monomial_counts(cycles, k)
-    return counts[d] if d < len(counts) else 0
+    whole = counts[deg] if deg < len(counts) else 0
+    return quotient_trace(piece, standard, lambda monos: zip(map(permute, monos), repeat(1)), whole)
 
 
 def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
@@ -351,13 +356,13 @@ def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
 
 
 def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
-    """Dimension of the degree-d quotient piece and the ideal piece of A_d
-    in RREF.
+    """Dimension of the degree-d quotient piece, the number of its standard
+    monomials, and the ideal piece of A_d in RREF.
 
     A standalone read walks the ideal up from degree 0;
     :func:`decompose_coinvariants` reads every degree in one walk."""
-    basis, _ = _line_piece(n, k, d)
-    return _count_fixed_monomials((1,) * n, k, d) - basis.rank, basis
+    basis, standard = _line_piece(n, k, d)
+    return len(standard), basis
 
 
 def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
@@ -365,19 +370,9 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
 
     A standalone read walks the ideal up from degree 0;
     :func:`decompose_coinvariants` reads every degree in one walk."""
-    if rho.size != n:
-        raise ValueError(f"cycle type {rho.parts} is not a partition of {n}")
+    w = perm_of_type(rho, n)  # refuses a rho of another size before any walk
     basis, standard = _line_piece(n, k, d)
-    # the exponents of a permuted monomial are read through w directly (at
-    # n = 1, w is the identity and a one-index itemgetter would return a
-    # scalar); the trace of w^{-1} is that of w
-    permute = itemgetter(*perm_of_type(rho, n)) if n > 1 else tuple
-    return quotient_trace(
-        basis,
-        standard,
-        lambda monos: zip(map(permute, monos), repeat(1)),
-        _count_fixed_monomials(rho.parts, k, d),
-    )
+    return _permuted_trace(basis, standard, w, rho.parts, k, d)
 
 
 def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> GradedFrobenius:
@@ -428,6 +423,15 @@ def _multidegree_basis(
 def _check_multidegree(alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
     if any(e < 0 for e in alpha + beta):
         raise ValueError(f"multidegree entries must be nonnegative, got {alpha}, {beta}")
+
+
+def _check_super_quotient(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _guard(
+        n <= SUPER_QUOTIENT_MAX_N,
+        f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}",
+    )
 
 
 def _signed_fixed_trace(
@@ -651,10 +655,7 @@ def decompose_super_coinvariants(
     pieces; a standalone call keeps none.
     """
     _check_multidegree(alpha, beta)
-    _guard(
-        n <= SUPER_QUOTIENT_MAX_N,
-        f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}",
-    )
+    _check_super_quotient(n)
     slot = _reading.super_pieces
     ideal = _super_ideal_basis(n, alpha, beta, slot[1] if slot and slot[0] == n else {})
     if ideal is None:
@@ -677,6 +678,7 @@ def super_coinvariant_table(n: int) -> dict[tuple[int, int], SchurExpansion]:
     n(n-1)/2 and n past which every piece is zero.  Each is read through
     :func:`decompose_super_coinvariants` from this walk's own ideal pieces,
     recorded per thread, so each is built once and none outlives the walk."""
+    _check_super_quotient(n)
     _reading.super_pieces = n, {}
     try:
         table = {}
@@ -743,12 +745,8 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
                 w = [sigma[i] * d + t for i in range(n) for t in range(d)]
                 for i, (h, _) in zip(firsts, reps):
                     w[i * d : (i + 1) * d] = [sigma[i] * d + t for t in h]
-                permute = itemgetter(*w) if nvars > 1 else tuple
-                total += prod(size for _, size in reps) * quotient_trace(
-                    ideal,
-                    standard,
-                    lambda monos: zip(map(permute, monos), repeat(1)),
-                    _count_fixed_monomials(cycle_type(w), k, deg),
+                total += prod(size for _, size in reps) * _permuted_trace(
+                    ideal, standard, w, cycle_type(w), k, deg
                 )
             mean, rest = divmod(total, factorial(d) ** len(firsts))
             if rest:

@@ -69,7 +69,7 @@ def irr_character(lam: Partition, rho: Partition) -> int:
     return _mn(lam.parts, rho.parts)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ClassFunction:
     """Exact-rational class function, stored on cycle types of S_n."""
 
@@ -86,13 +86,6 @@ class ClassFunction:
 
     def value(self, rho: Partition) -> Fraction:
         return self.values[rho]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ClassFunction)
-            and self.n == other.n
-            and self.values == other.values
-        )
 
 
 class SchurExpansion:

@@ -19,8 +19,8 @@ from spanrep.oracle import (
     COMMUTING_MAX_PIECE,
     _check_commuting,
     _check_pieces,
-    _count_fixed_monomials,
     _bounded_monomials,
+    _fixed_monomial_counts,
     _ideal_piece,
     _ideal_pieces,
     _invariant_basis,
@@ -203,6 +203,14 @@ def test_line_readouts_past_the_top_degree_do_not_recurse():
     assert time.perf_counter() - start < 1.0
 
 
+def test_character_refuses_a_cycle_type_of_another_size_before_any_walk():
+    # (7, 5) at degree 16 would walk 17 ideal pieces, several seconds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a partition of 7"):
+        character_on_quotient(7, 5, 16, Partition((3, 3)))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_oracle_scale_guard():
     with pytest.raises(ScaleGuardError):
         quotient_basis(8, 2, 1)
@@ -223,12 +231,15 @@ def test_public_readouts_keep_their_guards():
 
 
 def test_piece_sizes_are_counted_exactly():
-    # the guard and the quotient dimensions use a counting DP for |A_d|
+    # the identity's traces count |A_d| by a DP, one entry per degree up to
+    # A's top degree n(k - 1)
     for n in range(1, 6):
         for k in range(1, n + 1):
+            counts = _fixed_monomial_counts((1,) * n, k)
+            assert len(counts) == n * (k - 1) + 1, (n, k)
             for d in range(n * k):
                 want = sum(1 for m in monomials_of_degree(n, d) if max(m, default=0) < k)
-                assert _count_fixed_monomials((1,) * n, k, d) == want, (n, k, d)
+                assert (counts[d] if d < len(counts) else 0) == want, (n, k, d)
 
 
 def test_oracle_piece_budget():
@@ -643,6 +654,23 @@ def test_superspace_multidegree_validation(decompose):
                 decompose(n, alpha, beta)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: monomials_of_degree(-1, 0),
+        lambda: decompose_super_coinvariants(-1, (0,), (0,)),
+        lambda: super_coinvariant_table(-2),
+    ],
+    ids=["monomials_of_degree", "decompose_super_coinvariants", "super_coinvariant_table"],
+)
+def test_negative_n_is_refused(call):
+    # refused up front: none may recurse without end or return an empty table
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
 # -- Grassmann quotient --------------------------------------------------------
 
 
@@ -889,7 +917,7 @@ def test_piece_guard_matches_exact_counts():
     # whose largest piece, counted in full, is over the budget
     for nvars in range(1, 17):
         for k in range(1, 7):
-            full = [_count_fixed_monomials((1,) * nvars, k, d) for d in range(nvars * (k - 1) + 1)]
+            full = _fixed_monomial_counts((1,) * nvars, k)
             for top in [None, *range(nvars * (k - 1) + 2)]:
                 over = max(full[: None if top is None else top + 1]) > COMMUTING_MAX_PIECE
                 try:
