@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -117,7 +116,9 @@ def _printable_frobenius(payload, params: dict) -> bool:
     """Whether a cached payload is one the request params prints: the
     request's kind, n, k and max_degree; tables for exactly the sources it
     names, each row a partition of n in a degree from 0 to max_degree with
-    a positive constant coefficient; and the diff those tables give."""
+    a positive constant coefficient, in the order the command writes rows
+    (degree ascending, then shapes lex-descending, so no row repeats); and
+    the diff those tables give."""
     n, top = params["n"], params["max_degree"]
     header = {"kind": "frobenius_table", "n": n, "k": params["k"], "max_degree": top}
     if not isinstance(payload, dict) or any(payload.get(f) != v for f, v in header.items()):
@@ -128,11 +129,19 @@ def _printable_frobenius(payload, params: dict) -> bool:
         return False
     bound = math.inf if top is None else top
     try:
-        for row in chain.from_iterable(sources.values()):
-            if not 0 <= row["degree"] <= bound or partition_from_json(row["shape"]).size != n:
-                return False
-            if not (coeff := poly_from_json(row["coeff"])).is_constant() or coeff.coefficient() < 1:
-                return False
+        for rows in sources.values():
+            last = None
+            for row in rows:
+                shape = partition_from_json(row["shape"])
+                # shapes of one size are never prefixes of one another, so
+                # negated parts sort lex-descending shapes ascending
+                key = (row["degree"], [-part for part in shape.parts])
+                if not 0 <= key[0] <= bound or shape.size != n or (last and key <= last):
+                    return False
+                coeff = poly_from_json(row["coeff"])
+                if not coeff.is_constant() or coeff.coefficient() < 1:
+                    return False
+                last = key
         return payload.get("diff") == _table_diff(sources)
     except (KeyError, TypeError, ValueError):
         return False
@@ -301,8 +310,9 @@ def _closure_z_slice(n: int, k: int) -> SchurExpansion:
 
     By duality (:func:`frobenius_of_closure`) that slice is omega of the
     theta-degree-0 slice, with x-degree a read as A - a, so only the
-    theta-degree-0 pieces are spanned and traced; the readout fills in
-    their duals.
+    theta-degree-0 pieces are spanned and traced (for k = n, where theta
+    degree 0 is the middle one, only those with 2a >= A); the readout
+    fills in their duals.
     """
     capped = harmonic_closure(n, 1, 1, k, theta_cap=0)
     low = {md: basis for md, basis in capped.spaces.items() if md[1] == (0,)}

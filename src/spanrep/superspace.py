@@ -22,7 +22,10 @@ coefficient dict by the one kernel :func:`_linear_image`.
 
 Built on top of the arithmetic: the superspace Vandermonde, signed
 partial derivatives, polarization operators, harmonic closure spaces, and
-their graded Frobenius images.
+their graded Frobenius images.  With one batch of each kind a closure is
+walked down by degree, each piece spanned by the derivatives of the
+reduced rows of the piece above it that a chain criterion keeps; with
+extra batches it is spanned by an operator queue.
 """
 
 from __future__ import annotations
@@ -421,24 +424,115 @@ class ClosureSpace:
         }
 
 
+def _span(vectors) -> EchelonBasis:
+    """The span of the vectors, which may include zero ones."""
+    basis = EchelonBasis()
+    for vec in vectors:
+        if vec:
+            basis.insert(vec)
+    basis.release_index()
+    return basis
+
+
+def _x_derivatives(piece: EchelonBasis, up: EchelonBasis | None, n: int):
+    """d/dx_j row_p over the reduced rows of piece, V(a, b), except those
+    the chain criterion of :func:`harmonic_closure` skips, which reads the
+    pivots of up, V(a + 1, b) (None at the seed's x-degree)."""
+    rows = piece.primitive_rows()
+    old = set(up.pivots()) if up is not None else set()
+    parents = [
+        [i for i in range(n) if ((_replace(xs, i, xs[i] + 1),), thetas) in old]
+        for ((xs,), thetas), _ in rows
+    ]
+    for j in range(n):
+        kept = [
+            row
+            for (((xs,), _), row), par in zip(rows, parents)
+            if not par or (par[0] >= j if xs[j] else par == [j])
+        ]
+        # d/dx_j sends distinct monomials it does not kill to distinct ones
+        image = {m: t[0] for m in {m for row in kept for m in row} if (t := _d_x_image(j, 0, m))}
+        for row in kept:
+            yield {t[0]: t[1] * c for m, c in row.items() if (t := image.get(m))}
+
+
+def _closure_walk(seed: dict, n: int, theta_cap: int | None) -> dict[Multidegree, EchelonBasis]:
+    """The nonzero pieces of the closure R f of the seed f for m = p = 1,
+    walked down by degree; :func:`harmonic_closure` gives the argument."""
+    (top_x,), (top_theta,) = next(iter(seed)).multidegree()
+    spaces = {((top_x,), (top_theta,)): _span([seed])}
+    for b in range(top_theta, 0, -1):
+        spaces[(top_x,), (b - 1,)] = _span(
+            _linear_image(row, partial(_d_theta_image, i, 0))
+            for _, row in spaces[(top_x,), (b,)].primitive_rows()
+            for i in range(n)
+        )
+    last = top_theta if theta_cap is None else min(theta_cap, top_theta)
+    for b in range(last + 1):
+        lowest = (top_x + 1) // 2 if theta_cap is not None and 2 * b == top_theta else 0
+        up, piece = None, spaces[(top_x,), (b,)]
+        for a in range(top_x, lowest, -1):
+            up, piece = piece, _span(_x_derivatives(piece, up, n))
+            spaces[(a - 1,), (b,)] = piece
+    return {md: basis for md, basis in spaces.items() if basis.rank}
+
+
 def harmonic_closure(
     n: int, m: int, p: int, k: int, *, theta_cap: int | None = None
 ) -> ClosureSpace:
     """Smallest subspace containing the Vandermonde seed and closed under
     all partial derivatives and polarization operators.
 
-    The seed sits in the first commuting and first anticommuting batch.
-    The search keeps a queue of the vectors that enlarged some
-    multidegree's span, each with the operator that made it, and applies
-    operators to them until the queue is empty.  Derivatives only lower
-    degrees and polarizations conserve total degree, so the reachable
-    multidegree set is finite and the loop terminates.
+    The seed f sits in the first commuting and first anticommuting batch.
 
-    The x operators (x-derivatives and x-polarizations of every batch) act
-    on other variables than the theta operators (theta-derivatives and
-    theta-polarizations), so each x operator commutes with each theta
-    operator.  Two rules leave operators out; the final span V is the
-    closure all the same:
+    With one batch of each kind (m = p = 1) there are no polarizations, so
+    the closure is R f, the span of all derivatives of f.  Let f have
+    x-degree A and theta-degree B = n - k, and let V(a, b) be the piece of
+    x-degree a and theta-degree b.  The x-derivatives and the
+    theta-derivatives commute up to sign, so V(A, b) is spanned by
+    d/dtheta_i of the rows of V(A, b + 1) (the theta chain, spanned first),
+    and V(a - 1, b) by d/dx_j of the rows of V(a, b).  The walk spans each
+    piece that way, from the reduced rows of the piece above it, and skips
+    derivatives by a chain criterion, the one of
+    :func:`spanrep.oracle._ideal_piece` with differentiation in place of
+    multiplication.  For the row of V(a, b) with pivot p (its smallest
+    key) let par(p) be the i with p * x_i a pivot of V(a + 1, b).
+    d/dx_j row_p is kept when par(p) is empty; else, when p_j > 0, only if
+    min par(p) >= j, and when p_j = 0, only if par(p) is [j].  Compare keys
+    as nominal keys, with x-exponents in Z^n, so that d/dx_j p = p / x_j
+    has one even when p_j = 0; d/dx_j keeps the order of the terms it does
+    not kill and sends every term of a row above its pivot to a key above
+    p / x_j.  Why: for i in par(p) and q = p * x_i, d/dx_i row_q is a
+    nonzero multiple of row_p plus rows s' of V(a, b) with pivots above p,
+    and d/dx_j row_q is a combination of rows s of V(a, b) with pivots at
+    least q / x_j.  Derivatives commute, so d/dx_j row_p is a combination
+    of the d/dx_j row_s' and the d/dx_i row_s, whose nominal keys s' / x_j
+    and s / x_i exceed p / x_j except for d/dx_i row_s at s = q / x_j,
+    which comes first when i < j and does not exist when p_j = 0 and
+    i != j.  The rule skips d/dx_j row_p only when par(p) has such an i:
+    min par(p) < j, or, when p_j = 0, any i other than j.  By induction
+    over (key descending, j ascending) every skipped derivative lies in
+    the span of the kept ones, so each piece, and its reduced echelon
+    basis, is the same as with every derivative.
+
+    ``theta_cap`` asks for the part of the closure that
+    :func:`frobenius_of_closure` reads with m = p = 1: the theta chain at
+    x-degree A, and the pieces of theta-degree b <= theta_cap, except that
+    at the middle theta-degree, 2b = B, only the x-degrees a with 2a >= A
+    are spanned.  The other half of that row is omega of its dual pieces
+    (a, B / 2) <-> (A - a, B / 2), which the readout fills in.
+
+    With extra batches the closure is larger than R f and has no
+    descending walk, since polarizations keep a total degree.  The search
+    then keeps a queue of the vectors that enlarged some multidegree's
+    span, each with the operator that made it, and applies operators to
+    them until the queue is empty.  Derivatives only lower degrees and
+    polarizations conserve total degree, so the reachable multidegree set
+    is finite and the loop terminates.  The x operators (x-derivatives and
+    x-polarizations of every batch) act on other variables than the theta
+    operators (theta-derivatives and theta-polarizations), so each x
+    operator commutes with each theta operator.  Two rules leave
+    operators out; the final span V is the closure all the same:
 
     1. Theta operators act only on the seed and on vectors that a theta
        operator made.  Every x operator acts on every queued vector (up to
@@ -456,28 +550,20 @@ def harmonic_closure(
     No variable's per-batch degree ever exceeds k - 1 (the seed's maximum,
     conserved or lowered by every operator), so polarization powers are
     enumerated only up to k - 1; higher powers annihilate the whole space.
-
-    ``theta_cap`` spans part of the closure: x operators skip every vector
-    whose total theta-degree exceeds the cap.  The pieces of theta-degree
-    <= theta_cap are still complete.  Every closure vector is X (Theta
-    seed) for a word X in x operators and a word Theta in theta operators,
-    since the two kinds commute; the walk spans every Theta seed, and below
-    the cap the rules keep the span closed under each x operator as
-    before.  Rule 1 holds: Theta (X h) = X (Theta h), where h has the
-    theta-degree of X h and Theta h at most that.  Rule 2 never skips an
-    image that the cap blocks, because x-siblings share their parent's
-    theta-degree.  Above the cap the result holds only the span of the
-    Theta seed; with m = 1, where every x operator lowers x-degree, that is
-    exactly the closure's pieces at the seed's x-degree.
+    A cap is refused with extra batches, as is a negative one.
     """
     if m < 1 or p < 1:
         raise ValueError("closure spaces need at least one batch of each kind")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if theta_cap is not None and (theta_cap < 0 or (m, p) != (1, 1)):
+        raise ValueError("theta_cap must be nonnegative and needs m = p = 1")
     if n > CLOSURE_MAX_N:
         raise ScaleGuardError(f"harmonic closure limited to n <= {CLOSURE_MAX_N}, got n={n}")
 
     seed_11 = superspace_vandermonde(n, k)
+    if m == p == 1:
+        return ClosureSpace(n, m, p, k, _closure_walk(seed_11._terms, n, theta_cap))
     pad_x, pad_theta = ((0,) * n,) * (m - 1), ((),) * (p - 1)
     seed = _linear_image(
         seed_11._terms,
@@ -509,11 +595,10 @@ def harmonic_closure(
     while queue:
         vec, made_by, siblings = queue.pop()
         theta_made = made_by is None or ops[made_by][1]
-        x_capped = theta_cap is not None and sum(map(len, next(iter(vec)).thetas)) > theta_cap
         skip = {o for o in siblings if o > made_by}
         grown: dict[bool, list[int]] = {False: [], True: []}
         for o, (image, theta, derivative) in enumerate(ops):
-            if (not theta_made if theta else x_capped) or o in skip:
+            if (theta and not theta_made) or o in skip:
                 continue
             img = _linear_image(vec, image)
             if img and insert(img):
@@ -549,18 +634,22 @@ def frobenius_of_closure(
       V(A - a, B - b) tensored with the sign character, and the Frobenius
       image of (a, b) is omega of that of (A - a, B - b).
 
-    So, when no closure is passed, only the pieces of theta-degree
-    <= floor(B / 2) and the theta chain at x-degree A (reached from f by
-    theta-derivatives alone) are spanned, by ``harmonic_closure`` with
-    ``theta_cap = B // 2``; every other piece's table is omega of its
-    dual's.  Where a piece and its dual are both spanned (the chain and its
-    duals, the middle theta-degree, or every piece of a passed closure),
-    the two tables are compared and a mismatch raises ``RuntimeError``.
+    So, when no closure is passed, ``harmonic_closure`` with
+    ``theta_cap = B // 2`` spans only the theta chain at x-degree A
+    (reached from f by theta-derivatives alone) and the pieces of
+    theta-degree <= floor(B / 2), walking each theta-degree down from the
+    chain; at the middle theta-degree, 2b = B, it stops at the x-degrees
+    a with 2a >= A.  Every other piece's table is omega of its dual's.
+    Where a piece and its dual are both spanned (the chain and its duals,
+    the self-dual middle piece 2a = A, 2b = B, or every piece of a passed
+    closure), the two tables are compared and a mismatch raises
+    ``RuntimeError``.
 
     The rule is for m = p = 1 only.  Polarizations make the closure of
     more batches larger than R f, and then the pieces do not pair off: at
     (n, m, p, k) = (3, 2, 1, 2), (3, 1, 2, 2) and (4, 2, 1, 3) the ranks
-    by total bidegree are not symmetric.
+    by total bidegree are not symmetric.  Those closures are spanned whole
+    by the operator queue, which is kept for extra batches only.
     """
     dual_rule = m == p == 1
     if closure is None:

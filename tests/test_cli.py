@@ -257,6 +257,12 @@ def _append_row(payload, degree, coeff):
         rows.append({"degree": degree, "shape": [2, 1], "coeff": [[[0, 0, 0], coeff]]})
 
 
+def _edit_tables(payload, edit):
+    # the same edit in every table, so the diff between them stays empty
+    for rows in payload["sources"].values():
+        edit(rows)
+
+
 @pytest.mark.parametrize(
     "flags, corrupt",
     [
@@ -300,6 +306,16 @@ def _append_row(payload, degree, coeff):
             (),
             lambda p: p["sources"]["formula"][0].update(coeff=[[[1, 0, 0], "1"]]),
             id="non-constant-coeff",
+        ),
+        pytest.param(
+            ("--source", "both", "--format", "csv"),
+            lambda p: _edit_tables(p, lambda rows: rows.append(rows[0])),
+            id="repeated-row",
+        ),
+        pytest.param(
+            ("--source", "both", "--format", "csv"),
+            lambda p: _edit_tables(p, list.reverse),
+            id="reversed-rows",
         ),
     ],
 )

@@ -328,7 +328,8 @@ def test_closure_is_symmetric_group_stable():
     "n, m, p, k",
     [(n, m, p, k) for n in range(1, 4) for k in range(1, n + 1) for m in (1, 2) for p in (1, 2)]
     + [(4, m, p, k) for k in range(1, 5) for m, p in [(1, 1), (2, 1), (1, 2)]]
-    + [(4, 2, 2, 2)],
+    + [(4, 2, 2, 2)]
+    + [(5, 1, 1, k) for k in range(1, 6)],
 )
 def test_closure_matches_reference(n, m, p, k):
     space = harmonic_closure(n, m, p, k)
@@ -340,9 +341,9 @@ def test_closure_matches_reference(n, m, p, k):
 
 
 def test_closure_skips_images_already_made(monkeypatch):
-    # theta operators act only on theta-made vectors, and no derivative
-    # repeats a sibling's: 8,996 inserts before both rules, 4,507 with
-    # them, for a summed rank of 1,456
+    # the descending walk spans each piece from the reduced rows of the one
+    # above and skips derivatives by the chain criterion: 1,866 inserts for
+    # a summed rank of 1,456
     calls = 0
     insert = EchelonBasis.insert
 
@@ -354,7 +355,18 @@ def test_closure_skips_images_already_made(monkeypatch):
     monkeypatch.setattr(EchelonBasis, "insert", counted)
     for k in range(1, 6):
         harmonic_closure(5, 1, 1, k)
-    assert calls <= 5_000, calls
+    assert calls <= 2_000, calls
+
+
+def test_closure_refuses_a_negative_theta_cap():
+    with pytest.raises(ValueError, match="theta_cap"):
+        harmonic_closure(3, 1, 1, 2, theta_cap=-1)
+
+
+@pytest.mark.parametrize("m, p", [(2, 1), (1, 2)])
+def test_closure_refuses_a_theta_cap_with_extra_batches(m, p):
+    with pytest.raises(ValueError, match="theta_cap"):
+        harmonic_closure(3, m, p, 2, theta_cap=0)
 
 
 def test_closure_scale_guard():
@@ -426,6 +438,25 @@ def test_top_theta_slice_from_theta_degree_zero(n, k):
     assert _closure_z_slice(n, k) == SchurExpansion(n, expected)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(1, n + 1)])
+def test_capped_closure_spans_what_the_readout_needs(n, k):
+    # the theta chain at the top x-degree and the pieces of theta-degree up
+    # to the cap, but at the middle theta-degree only the upper half of the
+    # x-degrees; each spanned piece is the whole closure's
+    top_x, top_theta = seed_bidegree(n, k)
+    full = harmonic_closure(n, 1, 1, k).spaces
+    for cap in range(top_theta + 2):
+        capped = harmonic_closure(n, 1, 1, k, theta_cap=cap).spaces
+        expected = {
+            ((a,), (b,))
+            for ((a,), (b,)) in full
+            if a == top_x or (b <= cap and (2 * b != top_theta or 2 * a >= top_x))
+        }
+        assert set(capped) == expected, cap
+        for md in expected:
+            assert capped[md].primitive_rows() == full[md].primitive_rows(), (cap, md)
+
+
 def test_dual_readout_checks_the_top_theta_chain(monkeypatch):
     # the theta chain at the top x-degree is spanned and read as well as its
     # duals, so a wrong chain piece raises instead of being read off its
@@ -477,9 +508,10 @@ def test_closure_with_two_x_batches_is_not_self_dual():
 
 
 def test_readout_skips_the_dual_half(monkeypatch):
-    # inserts over frobenius_of_closure(5, 1, 1, k), k = 1..5: 4,507 when
-    # the whole closure is spanned, 3,032 with the low-theta half and the
-    # top theta chain; the spanned pieces' summed rank is 953
+    # inserts over frobenius_of_closure(5, 1, 1, k), k = 1..5: 1,866 when
+    # the whole closure is spanned, 1,036 with the low-theta half (the low
+    # x-degrees of the middle theta-degree left out) and the top theta
+    # chain; the spanned pieces' summed rank is 754
     calls = 0
     insert = EchelonBasis.insert
 
@@ -491,7 +523,7 @@ def test_readout_skips_the_dual_half(monkeypatch):
     monkeypatch.setattr(EchelonBasis, "insert", counted)
     for k in range(1, 6):
         frobenius_of_closure(5, 1, 1, k)
-    assert calls <= 3_200, calls
+    assert calls <= 1_100, calls
 
 
 def test_top_theta_slice_twist_regression():
