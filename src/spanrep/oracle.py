@@ -223,14 +223,16 @@ def _ideal_piece(
     nvars = d * n
     gens = [{m: c for m, c in g.items() if max(m) < k} for g in _generators(d, n, k, deg)]
     rows = below.primitive_rows() if below is not None else []
-    upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
-    old = set(two_below.pivots()) if two_below is not None else set()
-    parents = [
-        [i for i in range(nvars) if p[i] and p[:i] + (p[i] - 1,) + p[i + 1 :] in old]
-        for p, _ in rows
-    ]
 
     def multiples():
+        if not rows:  # nothing to multiply: build no product table
+            return
+        upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
+        old = set(two_below.pivots()) if two_below is not None else set()
+        parents = [
+            [i for i in range(nvars) if p[i] and p[:i] + (p[i] - 1,) + p[i + 1 :] in old]
+            for p, _ in rows
+        ]
         for j in range(nvars):
             kept = [
                 (p, row)
@@ -242,7 +244,7 @@ def _ideal_piece(
                 m: t for m in support if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))
             }
 
-    return _span_piece(gens, multiples(), len(upper))
+    return _span_piece(gens, multiples(), len(_bounded_monomials(nvars, deg, k)))
 
 
 def _ideal_pieces(d: int, n: int, k: int):

@@ -22,14 +22,15 @@ coefficient dict by the one kernel :func:`_linear_image`.
 
 Built on top of the arithmetic: the superspace Vandermonde, signed
 partial derivatives, polarization operators, harmonic closure spaces, and
-their graded Frobenius images.  With one batch of each kind a closure is
-walked down by degree, each piece spanned by the derivatives of the
-reduced rows of the piece above it that a chain criterion keeps; with
-extra batches it is spanned by an operator queue.
+their graded Frobenius images.  A closure is walked down by degree
+level, each level spanned by the derivatives of the reduced rows of the
+level above it that a chain criterion keeps, then closed under the
+polarizations.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -95,7 +96,7 @@ class SuperMonomial(tuple):
         return f"SuperMonomial(xs={self[0]!r}, thetas={self[1]!r})"
 
     def multidegree(self) -> Multidegree:
-        return tuple(sum(b) for b in self.xs), tuple(len(b) for b in self.thetas)
+        return tuple(map(sum, self.xs)), tuple(map(len, self.thetas))
 
 
 def mono_mul(a: SuperMonomial, b: SuperMonomial) -> tuple[SuperMonomial | None, int]:
@@ -142,6 +143,12 @@ def _linear_image(terms: dict, image) -> dict:
 
 def _replace(seq: tuple, i: int, new) -> tuple:
     return seq[:i] + (new,) + seq[i + 1 :]
+
+
+def _bumped(xs: tuple, batch: int, i: int, by: int) -> tuple:
+    """The x-exponents xs with exponent i of the batch changed by by."""
+    row = xs[batch]
+    return xs[:batch] + (row[:i] + (row[i] + by,) + row[i + 1 :],) + xs[batch + 1 :]
 
 
 class SuperPoly:
@@ -315,8 +322,7 @@ def _d_x_image(i: int, batch: int, mono: SuperMonomial):
     e = mono.xs[batch][i]
     if not e:
         return ()
-    xs = _replace(mono.xs, batch, _replace(mono.xs[batch], i, e - 1))
-    return ((SuperMonomial(xs, mono.thetas), e),)
+    return ((SuperMonomial(_bumped(mono.xs, batch, i, -1), mono.thetas), e),)
 
 
 def _d_theta_image(i: int, batch: int, mono: SuperMonomial):
@@ -335,8 +341,7 @@ def _x_polarization_image(src: int, dst: int, j: int, mono: SuperMonomial):
     xs, out = mono.xs, []
     for i, e in enumerate(xs[src]):
         if e >= j:  # (d/dx_i)^j x_i^e = e (e-1) ... (e-j+1) x_i^(e-j)
-            moved = _replace(xs, src, _replace(xs[src], i, e - j))
-            moved = _replace(moved, dst, _replace(xs[dst], i, xs[dst][i] + 1))
+            moved = _bumped(_bumped(xs, src, i, -j), dst, i, 1)
             out.append((SuperMonomial(moved, mono.thetas), perm(e, j)))
     return out
 
@@ -424,57 +429,95 @@ class ClosureSpace:
         }
 
 
-def _span(vectors) -> EchelonBasis:
-    """The span of the vectors, which may include zero ones."""
-    basis = EchelonBasis()
-    for vec in vectors:
-        if vec:
-            basis.insert(vec)
-    basis.release_index()
-    return basis
+def _theta_derivatives(level, n: int):
+    """(piece, d/dtheta_i row) over the reduced rows of a level, for each theta variable."""
+    for (alpha, beta), basis in level.items():
+        lower = [(c, (alpha, _replace(beta, c, beta[c] - 1))) for c in range(len(beta)) if beta[c]]
+        for _, row in basis.primitive_rows():
+            for c, target in lower:
+                for i in range(n):
+                    yield target, _linear_image(row, partial(_d_theta_image, i, c))
 
 
-def _x_derivatives(piece: EchelonBasis, up: EchelonBasis | None, n: int):
-    """d/dx_j row_p over the reduced rows of piece, V(a, b), except those
-    the chain criterion of :func:`harmonic_closure` skips, which reads the
-    pivots of up, V(a + 1, b) (None at the seed's x-degree)."""
-    rows = piece.primitive_rows()
-    old = set(up.pivots()) if up is not None else set()
-    parents = [
-        [i for i in range(n) if ((_replace(xs, i, xs[i] + 1),), thetas) in old]
-        for ((xs,), thetas), _ in rows
-    ]
-    for j in range(n):
-        kept = [
-            row
-            for (((xs,), _), row), par in zip(rows, parents)
-            if not par or (par[0] >= j if xs[j] else par == [j])
+def _x_derivatives(level, above, n: int):
+    """(piece, d/dx_v row_p) over the reduced rows of a level, for every x
+    variable v = (batch c, index j), except those the chain criterion of
+    :func:`harmonic_closure` skips, which reads the pivots of the level
+    above (empty at the seed's x-degree)."""
+    old = {pivot for basis in above.values() for pivot in basis.pivots()}
+    for (alpha, beta), basis in level.items():
+        variables = [(c, j) for c in range(len(alpha)) for j in range(n)]
+        rows = basis.primitive_rows()
+        parents = [
+            [v for v, (c, i) in enumerate(variables) if (_bumped(xs, c, i, 1), thetas) in old]
+            for (xs, thetas), _ in rows
         ]
-        # d/dx_j sends distinct monomials it does not kill to distinct ones
-        image = {m: t[0] for m in {m for row in kept for m in row} if (t := _d_x_image(j, 0, m))}
-        for row in kept:
-            yield {t[0]: t[1] * c for m, c in row.items() if (t := image.get(m))}
+        for v, (c, j) in enumerate(variables):
+            target = (_replace(alpha, c, alpha[c] - 1), beta)
+            kept = [
+                row
+                for ((xs, _), row), par in zip(rows, parents)
+                if not par or (par[0] >= v if xs[c][j] else par == [v])
+            ]
+            # d/dx_j sends distinct monomials it does not kill to distinct ones
+            support = {m for row in kept for m in row}
+            image = {m: t[0] for m in support if (t := _d_x_image(j, c, m))}
+            for row in kept:
+                yield target, {t[0]: t[1] * a for m, a in row.items() if (t := image.get(m))}
 
 
-def _closure_walk(seed: dict, n: int, theta_cap: int | None) -> dict[Multidegree, EchelonBasis]:
-    """The nonzero pieces of the closure R f of the seed f for m = p = 1,
-    walked down by degree; :func:`harmonic_closure` gives the argument."""
-    (top_x,), (top_theta,) = next(iter(seed)).multidegree()
-    spaces = {((top_x,), (top_theta,)): _span([seed])}
-    for b in range(top_theta, 0, -1):
-        spaces[(top_x,), (b - 1,)] = _span(
-            _linear_image(row, partial(_d_theta_image, i, 0))
-            for _, row in spaces[(top_x,), (b,)].primitive_rows()
-            for i in range(n)
-        )
+def _span_level(levels: dict, todo: dict, a: int, b: int, images, polarizations) -> dict:
+    """Span level (a, b), levels[a, b], from the (multidegree, vector) images
+    and the vectors in todo[a], and close it under the polarizations; an
+    image that grows a lower x-degree a' waits in todo[a'] for its turn."""
+    level = levels[a, b]
+    work = todo.setdefault(a, [])
+    for md, vec in images:
+        if vec and level[md].insert(vec) and polarizations:
+            work.append(vec)
+    while work:
+        vec = work.pop()
+        for image in polarizations:
+            img = _linear_image(vec, image)
+            if img:
+                md = next(iter(img)).multidegree()
+                if levels[sum(md[0]), b][md].insert(img):
+                    todo.setdefault(sum(md[0]), []).append(img)
+    del todo[a]
+    for basis in level.values():
+        basis.release_index()
+    return level
+
+
+def _closure_walk(seed: dict, n: int, m: int, p: int, k: int, theta_cap: int | None):
+    """The pieces of the closure of the seed, walked down level by level;
+    :func:`harmonic_closure` gives the argument."""
+    x_polarizations = [
+        partial(_x_polarization_image, src, dst, j)
+        for src, dst in permutations(range(m), 2)
+        for j in range(1, max(k, 2))
+    ]
+    theta_polarizations = [
+        partial(_theta_polarization_image, src, dst) for src, dst in permutations(range(p), 2)
+    ]
+    top = next(iter(seed)).multidegree()
+    top_x, top_theta = top[0][0], top[1][0]
+    levels: dict = defaultdict(partial(defaultdict, EchelonBasis))
+    images = [(top, seed)]
+    for b in range(top_theta, -1, -1):
+        level = _span_level(levels, {}, top_x, b, images, theta_polarizations)
+        images = _theta_derivatives(level, n)
     last = top_theta if theta_cap is None else min(theta_cap, top_theta)
     for b in range(last + 1):
         lowest = (top_x + 1) // 2 if theta_cap is not None and 2 * b == top_theta else 0
-        up, piece = None, spaces[(top_x,), (b,)]
-        for a in range(top_x, lowest, -1):
-            up, piece = piece, _span(_x_derivatives(piece, up, n))
-            spaces[(a - 1,), (b,)] = piece
-    return {md: basis for md, basis in spaces.items() if basis.rank}
+        # copies: an insert into a piece rewrites its stored rows
+        chain = levels[top_x, b].values()
+        todo = {top_x: [dict(row) for basis in chain for _, row in basis.primitive_rows()]}
+        above, level = {}, _span_level(levels, todo, top_x, b, (), x_polarizations)
+        for a in range(top_x - 1, lowest - 1, -1):
+            images = _x_derivatives(level, above, n)
+            above, level = level, _span_level(levels, todo, a, b, images, x_polarizations)
+    return {md: basis for level in levels.values() for md, basis in level.items()}
 
 
 def harmonic_closure(
@@ -483,74 +526,64 @@ def harmonic_closure(
     """Smallest subspace containing the Vandermonde seed and closed under
     all partial derivatives and polarization operators.
 
-    The seed f sits in the first commuting and first anticommuting batch.
+    The seed f sits in the first commuting and first anticommuting batch;
+    let it have x-degree A and theta-degree B = n - k.  Every operator
+    keeps or lowers the total x-degree a and the total theta-degree b, so
+    the closure splits into levels (a, b) of multidegree pieces.  The x
+    operators (x-derivatives and x-polarizations of every batch) commute
+    with the theta operators, which act on other variables, so the
+    closure is X (Theta f): the theta operators' closure of f, all at
+    x-degree A, closed under the x operators.  The walk spans f, then
+    each level (A, b - 1) from the d/dtheta_i of the reduced rows of
+    (A, b), each closed under the theta-polarizations; then, for each b,
+    it closes (A, b) under the x-polarizations and spans each (a - 1, b)
+    from the d/dx_v of the reduced rows of (a, b), over the x variables
+    v, closed under the x-polarizations in turn.  Each level is complete
+    before anything is derived from it.  A polarization keeps its level,
+    except that an x-polarization of power j lowers the x-degree by
+    j - 1: such an image that grows a lower level waits for its turn.
+    Every operator that lowers a level is a derivative or such a
+    polarization, applied to a level above, so by induction each level
+    is the closure's.  With one batch of each kind there are no
+    polarizations, and the closure is R f, the span of all derivatives
+    of f.
 
-    With one batch of each kind (m = p = 1) there are no polarizations, so
-    the closure is R f, the span of all derivatives of f.  Let f have
-    x-degree A and theta-degree B = n - k, and let V(a, b) be the piece of
-    x-degree a and theta-degree b.  The x-derivatives and the
-    theta-derivatives commute up to sign, so V(A, b) is spanned by
-    d/dtheta_i of the rows of V(A, b + 1) (the theta chain, spanned first),
-    and V(a - 1, b) by d/dx_j of the rows of V(a, b).  The walk spans each
-    piece that way, from the reduced rows of the piece above it, and skips
-    derivatives by a chain criterion, the one of
+    The walk skips x-derivatives by a chain criterion, the one of
     :func:`spanrep.oracle._ideal_piece` with differentiation in place of
-    multiplication.  For the row of V(a, b) with pivot p (its smallest
-    key) let par(p) be the i with p * x_i a pivot of V(a + 1, b).
-    d/dx_j row_p is kept when par(p) is empty; else, when p_j > 0, only if
-    min par(p) >= j, and when p_j = 0, only if par(p) is [j].  Compare keys
-    as nominal keys, with x-exponents in Z^n, so that d/dx_j p = p / x_j
-    has one even when p_j = 0; d/dx_j keeps the order of the terms it does
-    not kill and sends every term of a row above its pivot to a key above
-    p / x_j.  Why: for i in par(p) and q = p * x_i, d/dx_i row_q is a
-    nonzero multiple of row_p plus rows s' of V(a, b) with pivots above p,
-    and d/dx_j row_q is a combination of rows s of V(a, b) with pivots at
-    least q / x_j.  Derivatives commute, so d/dx_j row_p is a combination
-    of the d/dx_j row_s' and the d/dx_i row_s, whose nominal keys s' / x_j
-    and s / x_i exceed p / x_j except for d/dx_i row_s at s = q / x_j,
-    which comes first when i < j and does not exist when p_j = 0 and
-    i != j.  The rule skips d/dx_j row_p only when par(p) has such an i:
-    min par(p) < j, or, when p_j = 0, any i other than j.  By induction
-    over (key descending, j ascending) every skipped derivative lies in
-    the span of the kept ones, so each piece, and its reduced echelon
-    basis, is the same as with every derivative.
+    multiplication.  For a row of level (a, b) with pivot p (its smallest
+    key) let par(p) be the variables v, in batch-major order, with
+    p * x_v a pivot of level (a + 1, b).  d/dx_j row_p is kept when
+    par(p) is empty; else, when p_j > 0, only if min par(p) >= j, and
+    when p_j = 0, only if par(p) is [j].  Compare keys as nominal keys,
+    with x-exponents in Z^(mn), so that d/dx_j p = p / x_j has one even
+    when p_j = 0; d/dx_j keeps the order of the terms it does not kill
+    and sends every term of a row above its pivot to a key above p / x_j.
+    Why: for i in par(p) and q = p * x_i, d/dx_i row_q is a nonzero
+    multiple of row_p plus rows s' of level (a, b) with pivots above p,
+    and d/dx_j row_q is a combination of rows s of level (a, b) with
+    pivots at least q / x_j.  Derivatives commute, so d/dx_j row_p is a
+    combination of the d/dx_j row_s' and the d/dx_i row_s, whose nominal
+    keys s' / x_j and s / x_i exceed p / x_j except for d/dx_i row_s at
+    s = q / x_j, which comes first when i < j and does not exist when
+    p_j = 0 and i != j.  The rule skips d/dx_j row_p only when par(p) has
+    such an i: min par(p) < j, or, when p_j = 0, any i other than j.  By
+    induction over (key descending, j ascending) every skipped derivative
+    lies in the span of the kept ones, so each level, and each piece's
+    reduced echelon basis, is the same as with every derivative.  The
+    argument only needs each level to contain the derivatives of the
+    level above, which the closure's levels do.
 
     ``theta_cap`` asks for the part of the closure that
     :func:`frobenius_of_closure` reads with m = p = 1: the theta chain at
     x-degree A, and the pieces of theta-degree b <= theta_cap, except that
     at the middle theta-degree, 2b = B, only the x-degrees a with 2a >= A
     are spanned.  The other half of that row is omega of its dual pieces
-    (a, B / 2) <-> (A - a, B / 2), which the readout fills in.
-
-    With extra batches the closure is larger than R f and has no
-    descending walk, since polarizations keep a total degree.  The search
-    then keeps a queue of the vectors that enlarged some multidegree's
-    span, each with the operator that made it, and applies operators to
-    them until the queue is empty.  Derivatives only lower degrees and
-    polarizations conserve total degree, so the reachable multidegree set
-    is finite and the loop terminates.  The x operators (x-derivatives and
-    x-polarizations of every batch) act on other variables than the theta
-    operators (theta-derivatives and theta-polarizations), so each x
-    operator commutes with each theta operator.  Two rules leave
-    operators out; the final span V is the closure all the same:
-
-    1. Theta operators act only on the seed and on vectors that a theta
-       operator made.  Every x operator acts on every queued vector (up to
-       rule 2), so V is closed under each x operator X.  A vector g = X h
-       that X made has Theta g = X (Theta h) for each theta operator
-       Theta, and Theta h lies in V by induction on how h was made, so
-       Theta g lies in V.
-    2. No duplicate sibling derivatives.  When popping h gave two
-       derivatives of one family (x or theta, over all batches), D_i h and
-       D_j h with i < j, and both enlarged a span, D_j is not applied to
-       D_i h.  The skipped image is +-D_i (D_j h), since x-derivatives
-       commute and theta-derivatives anticommute, and D_i is applied to
-       D_j h when that is popped: only exactly equal vectors are skipped.
+    (a, B / 2) <-> (A - a, B / 2), which the readout fills in.  A cap is
+    refused with extra batches, as is a negative one.
 
     No variable's per-batch degree ever exceeds k - 1 (the seed's maximum,
     conserved or lowered by every operator), so polarization powers are
     enumerated only up to k - 1; higher powers annihilate the whole space.
-    A cap is refused with extra batches, as is a negative one.
     """
     if m < 1 or p < 1:
         raise ValueError("closure spaces need at least one batch of each kind")
@@ -561,51 +594,12 @@ def harmonic_closure(
     if n > CLOSURE_MAX_N:
         raise ScaleGuardError(f"harmonic closure limited to n <= {CLOSURE_MAX_N}, got n={n}")
 
-    seed_11 = superspace_vandermonde(n, k)
-    if m == p == 1:
-        return ClosureSpace(n, m, p, k, _closure_walk(seed_11._terms, n, theta_cap))
     pad_x, pad_theta = ((0,) * n,) * (m - 1), ((),) * (p - 1)
     seed = _linear_image(
-        seed_11._terms,
+        superspace_vandermonde(n, k)._terms,
         lambda mono: ((SuperMonomial(mono.xs + pad_x, mono.thetas + pad_theta), 1),),
     )
-
-    # (image, theta operator?, derivative?); the order fixes the order of
-    # the inserts, not the spans.
-    ops = [(partial(_d_x_image, i, b), False, True) for b in range(m) for i in range(n)]
-    ops += [(partial(_d_theta_image, i, b), True, True) for b in range(p) for i in range(n)]
-    for src, dst in permutations(range(m), 2):
-        ops += [
-            (partial(_x_polarization_image, src, dst, j), False, False) for j in range(1, max(k, 2))
-        ]
-    for src, dst in permutations(range(p), 2):
-        ops.append((partial(_theta_polarization_image, src, dst), True, False))
-
-    spaces: dict[Multidegree, EchelonBasis] = {}
-
-    def insert(terms: dict) -> bool:
-        md = next(iter(terms)).multidegree()
-        return spaces.setdefault(md, EchelonBasis()).insert(terms)
-
-    # entry: (vector, index of the operator that made it or None for the
-    # seed, the derivatives of its family that enlarged a span from the
-    # same parent, filled in before the entry is popped)
-    queue = [(seed, None, ())]
-    insert(seed)
-    while queue:
-        vec, made_by, siblings = queue.pop()
-        theta_made = made_by is None or ops[made_by][1]
-        skip = {o for o in siblings if o > made_by}
-        grown: dict[bool, list[int]] = {False: [], True: []}
-        for o, (image, theta, derivative) in enumerate(ops):
-            if (theta and not theta_made) or o in skip:
-                continue
-            img = _linear_image(vec, image)
-            if img and insert(img):
-                if derivative:
-                    grown[theta].append(o)
-                queue.append((img, o, grown[theta] if derivative else ()))
-    return ClosureSpace(n, m, p, k, spaces)
+    return ClosureSpace(n, m, p, k, _closure_walk(seed, n, m, p, k, theta_cap))
 
 
 def frobenius_of_closure(
@@ -648,12 +642,17 @@ def frobenius_of_closure(
     The rule is for m = p = 1 only.  Polarizations make the closure of
     more batches larger than R f, and then the pieces do not pair off: at
     (n, m, p, k) = (3, 2, 1, 2), (3, 1, 2, 2) and (4, 2, 1, 3) the ranks
-    by total bidegree are not symmetric.  Those closures are spanned whole
-    by the operator queue, which is kept for extra batches only.
+    by total bidegree are not symmetric, so those closures are spanned
+    whole and every table is read off its own piece.
     """
     dual_rule = m == p == 1
     if closure is None:
         closure = harmonic_closure(n, m, p, k, theta_cap=(n - k) // 2 if dual_rule else None)
+    elif (closure.n, closure.m, closure.p, closure.k) != (n, m, p, k):
+        raise ValueError(
+            f"closure of (n, m, p, k) = {(closure.n, closure.m, closure.p, closure.k)}, "
+            f"asked for {(n, m, p, k)}"
+        )
     out: dict[Multidegree, SchurExpansion] = {}
     for md, basis in sorted(closure.spaces.items()):
         if not basis.rank:

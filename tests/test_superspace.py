@@ -340,10 +340,15 @@ def test_closure_matches_reference(n, m, p, k):
         assert all(space.spaces[md].contains(row) for _, row in basis.rows()), md
 
 
-def test_closure_skips_images_already_made(monkeypatch):
-    # the descending walk spans each piece from the reduced rows of the one
-    # above and skips derivatives by the chain criterion: 1,866 inserts for
-    # a summed rank of 1,456
+@pytest.mark.parametrize(
+    "n, m, p, bound",
+    # the walk spans each level from the reduced rows of the one above and
+    # skips derivatives by the chain criterion; summed over k = 1..n:
+    # (5,1,1) 1,866 inserts for a summed rank of 1,456; (4,2,1) 2,299 and
+    # (4,2,2) 3,331, where an operator queue made 3,677 and 5,154
+    [(5, 1, 1, 2_000), (4, 2, 1, 2_500), (4, 2, 2, 3_600)],
+)
+def test_closure_skips_images_already_made(monkeypatch, n, m, p, bound):
     calls = 0
     insert = EchelonBasis.insert
 
@@ -353,9 +358,9 @@ def test_closure_skips_images_already_made(monkeypatch):
         return insert(self, vec)
 
     monkeypatch.setattr(EchelonBasis, "insert", counted)
-    for k in range(1, 6):
-        harmonic_closure(5, 1, 1, k)
-    assert calls <= 2_000, calls
+    for k in range(1, n + 1):
+        harmonic_closure(n, m, p, k)
+    assert calls <= bound, calls
 
 
 def test_closure_refuses_a_negative_theta_cap():
@@ -390,6 +395,18 @@ def test_frobenius_of_closure_constants_and_sign():
     sign = SchurExpansion(2, {Partition((1, 1)): GradedPoly.const(1)})
     assert tables[((0,), (0,))] == triv
     assert tables[((0,), (1,))] == sign
+
+
+@pytest.mark.parametrize(
+    "asked, built",
+    [((3, 1, 1, 2), (3, 1, 1, 3)), ((3, 2, 1, 2), (3, 1, 1, 2)), ((4, 1, 1, 2), (3, 1, 1, 2))],
+    ids=["other-k", "other-m", "other-n"],
+)
+def test_frobenius_of_closure_refuses_another_closure(asked, built):
+    # tables read off another request's closure would be wrong or fail
+    # somewhere else: the duals are placed by the asked seed's bidegree
+    with pytest.raises(ValueError, match="closure"):
+        frobenius_of_closure(*asked, closure=harmonic_closure(*built))
 
 
 def test_frobenius_of_closure_dimensions_agree():
