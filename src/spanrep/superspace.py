@@ -141,6 +141,16 @@ def _linear_image(terms: dict, image) -> dict:
     return {mono: c for mono, c in out.items() if c}
 
 
+def _increasing_below(indices: tuple[int, ...], n: int) -> bool:
+    """Whether the indices strictly increase within 0..n - 1."""
+    return all(0 <= i < j for i, j in zip(indices, (*indices[1:], n)))
+
+
+def _check_variable(n: int, batches: int, i: int, batch: int) -> None:
+    if not (0 <= i < n and 0 <= batch < batches):
+        raise ValueError(f"no variable {i} of batch {batch} among {batches} batches of {n}")
+
+
 def _replace(seq: tuple, i: int, new) -> tuple:
     return seq[:i] + (new,) + seq[i + 1 :]
 
@@ -166,6 +176,10 @@ class SuperPoly:
                 raise ValueError("monomial batch arity does not match the ring")
             if any(len(b) != n for b in mono.xs):
                 raise ValueError("commuting batch has wrong length")
+            if any(e < 0 for b in mono.xs for e in b):
+                raise ValueError(f"negative exponent in {mono!r}")
+            if not all(_increasing_below(t, n) for t in mono.thetas):
+                raise ValueError(f"theta indices must increase within 0..{n - 1}: {mono!r}")
             if not isinstance(coeff, (int, Fraction)):
                 coeff = Fraction(coeff)
             if coeff:
@@ -190,6 +204,7 @@ class SuperPoly:
 
     @classmethod
     def x(cls, n: int, m: int, p: int, i: int, batch: int = 0) -> "SuperPoly":
+        _check_variable(n, m, i, batch)
         xs = [[0] * n for _ in range(m)]
         xs[batch][i] = 1
         mono = SuperMonomial(tuple(tuple(b) for b in xs), tuple(() for _ in range(p)))
@@ -197,6 +212,7 @@ class SuperPoly:
 
     @classmethod
     def theta(cls, n: int, m: int, p: int, i: int, batch: int = 0) -> "SuperPoly":
+        _check_variable(n, p, i, batch)
         thetas = [() for _ in range(p)]
         thetas[batch] = (i,)
         mono = SuperMonomial(tuple((0,) * n for _ in range(m)), tuple(thetas))
@@ -256,6 +272,8 @@ class SuperPoly:
 
     def apply(self, w: tuple[int, ...]) -> "SuperPoly":
         """Diagonal subscript action of a permutation."""
+        if sorted(w) != list(range(self.n)):
+            raise ValueError(f"{w!r} is not a permutation of range({self.n})")
         return self._like(_linear_image(self._terms, lambda mono: (apply_perm(mono, w),)))
 
     def __repr__(self) -> str:
@@ -314,7 +332,8 @@ def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> Sup
             img, tsign = apply_perm(mono, w + fixed)
             yield img, _perm_sign(w) * tsign
 
-    return SuperPoly(amb, 1, 1, _linear_image({seed: 1}, antisymmetrize))
+    # canonical by construction: build it unchecked
+    return SuperPoly.zero(amb, 1, 1)._like(_linear_image({seed: 1}, antisymmetrize))
 
 
 def _d_x_image(i: int, batch: int, mono: SuperMonomial):
@@ -359,11 +378,13 @@ def _theta_polarization_image(src: int, dst: int, mono: SuperMonomial):
 
 def d_x(poly: SuperPoly, i: int, batch: int = 0) -> SuperPoly:
     """Partial derivative in the i-th commuting generator of the batch."""
+    _check_variable(poly.n, poly.m, i, batch)
     return poly._like(_linear_image(poly._terms, partial(_d_x_image, i, batch)))
 
 
 def d_theta(poly: SuperPoly, i: int, batch: int = 0) -> SuperPoly:
     """Signed derivative striking theta_i: sign (-1)^(s-1) for position s."""
+    _check_variable(poly.n, poly.p, i, batch)
     return poly._like(_linear_image(poly._terms, partial(_d_theta_image, i, batch)))
 
 
@@ -466,24 +487,25 @@ def _x_derivatives(level, above, n: int):
                 yield target, {t[0]: t[1] * a for m, a in row.items() if (t := image.get(m))}
 
 
-def _span_level(levels: dict, todo: dict, a: int, b: int, images, polarizations) -> dict:
-    """Span level (a, b), levels[a, b], from the (multidegree, vector) images
-    and the vectors in todo[a], and close it under the polarizations; an
-    image that grows a lower x-degree a' waits in todo[a'] for its turn."""
+def _span_level(levels: dict, a: int, b: int, images, polarizations) -> dict:
+    """Span level (a, b), levels[a, b], from the (multidegree, vector) images,
+    then close it under the polarizations from its reduced rows; an image of
+    a lower x-degree is inserted there, to be closed at that level's turn."""
     level = levels[a, b]
-    work = todo.setdefault(a, [])
     for md, vec in images:
-        if vec and level[md].insert(vec) and polarizations:
-            work.append(vec)
+        if vec:
+            level[md].insert(vec)
+    work = []
+    if polarizations:  # copies: an insert into a piece rewrites its stored rows
+        work = [dict(row) for basis in level.values() for _, row in basis.primitive_rows()]
     while work:
         vec = work.pop()
         for image in polarizations:
             img = _linear_image(vec, image)
             if img:
                 md = next(iter(img)).multidegree()
-                if levels[sum(md[0]), b][md].insert(img):
-                    todo.setdefault(sum(md[0]), []).append(img)
-    del todo[a]
+                if levels[sum(md[0]), b][md].insert(img) and sum(md[0]) == a:
+                    work.append(img)
     for basis in level.values():
         basis.release_index()
     return level
@@ -505,18 +527,15 @@ def _closure_walk(seed: dict, n: int, m: int, p: int, k: int, theta_cap: int | N
     levels: dict = defaultdict(partial(defaultdict, EchelonBasis))
     images = [(top, seed)]
     for b in range(top_theta, -1, -1):
-        level = _span_level(levels, {}, top_x, b, images, theta_polarizations)
+        level = _span_level(levels, top_x, b, images, theta_polarizations)
         images = _theta_derivatives(level, n)
     last = top_theta if theta_cap is None else min(theta_cap, top_theta)
     for b in range(last + 1):
         lowest = (top_x + 1) // 2 if theta_cap is not None and 2 * b == top_theta else 0
-        # copies: an insert into a piece rewrites its stored rows
-        chain = levels[top_x, b].values()
-        todo = {top_x: [dict(row) for basis in chain for _, row in basis.primitive_rows()]}
-        above, level = {}, _span_level(levels, todo, top_x, b, (), x_polarizations)
+        above, level = {}, _span_level(levels, top_x, b, (), x_polarizations)
         for a in range(top_x - 1, lowest - 1, -1):
             images = _x_derivatives(level, above, n)
-            above, level = level, _span_level(levels, todo, a, b, images, x_polarizations)
+            above, level = level, _span_level(levels, a, b, images, x_polarizations)
     return {md: basis for level in levels.values() for md, basis in level.items()}
 
 
@@ -538,13 +557,15 @@ def harmonic_closure(
     (A, b), each closed under the theta-polarizations; then, for each b,
     it closes (A, b) under the x-polarizations and spans each (a - 1, b)
     from the d/dx_v of the reduced rows of (a, b), over the x variables
-    v, closed under the x-polarizations in turn.  Each level is complete
-    before anything is derived from it.  A polarization keeps its level,
-    except that an x-polarization of power j lowers the x-degree by
-    j - 1: such an image that grows a lower level waits for its turn.
-    Every operator that lowers a level is a derivative or such a
-    polarization, applied to a level above, so by induction each level
-    is the closure's.  With one batch of each kind there are no
+    v, closed under the x-polarizations in turn.  A polarization keeps its
+    level, except that an x-polarization of power j lowers the x-degree by
+    j - 1: such an image is inserted into its lower level at once.  A
+    level's closure under the polarizations starts, at its turn, from its
+    reduced rows, which span its images and whatever higher levels
+    inserted into it, so each level is complete before anything is
+    derived from it.  Every operator that lowers a level is a derivative
+    or such a polarization, applied to a level above, so by induction
+    each level is the closure's.  With one batch of each kind there are no
     polarizations, and the closure is R f, the span of all derivatives
     of f.
 
@@ -578,8 +599,12 @@ def harmonic_closure(
     x-degree A, and the pieces of theta-degree b <= theta_cap, except that
     at the middle theta-degree, 2b = B, only the x-degrees a with 2a >= A
     are spanned.  The other half of that row is omega of its dual pieces
-    (a, B / 2) <-> (A - a, B / 2), which the readout fills in.  A cap is
-    refused with extra batches, as is a negative one.
+    (a, B / 2) <-> (A - a, B / 2), which the readout fills in.  A capped
+    space's ``dims``, ``hilbert`` and ``theta_slice_dims`` cover only the
+    spanned pieces: ``harmonic_closure(3, 1, 1, 2, theta_cap=0).hilbert()``
+    is 1 + 3q + 2q^2 + q^2 z, the whole closure's
+    1 + 2z + 3q + 3qz + 2q^2 + q^2 z.  A cap is refused with extra
+    batches, as is a negative one.
 
     No variable's per-batch degree ever exceeds k - 1 (the seed's maximum,
     conserved or lowered by every operator), so polarization powers are

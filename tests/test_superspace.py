@@ -57,6 +57,37 @@ def test_batch_mismatch_raises():
         SuperPoly.x(2, 1, 1, 0) * SuperPoly.x(2, 2, 1, 0)
 
 
+def one_term(xs, thetas):
+    return SuperPoly(3, 1, 1, {SuperMonomial((xs,), (thetas,)): 1})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: d_x(SuperPoly.x(3, 1, 1, 2), -1), id="d_x-index-negative"),
+        pytest.param(lambda: d_x(SuperPoly.x(3, 1, 1, 2), 3), id="d_x-index-n"),
+        pytest.param(lambda: d_x(SuperPoly.x(3, 1, 1, 2), 0, batch=1), id="d_x-batch"),
+        pytest.param(lambda: d_theta(SuperPoly.theta(3, 1, 1, 2), -1), id="d_theta-index"),
+        pytest.param(lambda: d_theta(SuperPoly.theta(3, 1, 1, 2), 0, batch=1), id="d_theta-batch"),
+        pytest.param(lambda: SuperPoly.x(3, 1, 1, -1), id="x-index"),
+        pytest.param(lambda: SuperPoly.x(3, 1, 1, 0, batch=-1), id="x-batch"),
+        pytest.param(lambda: SuperPoly.theta(3, 1, 1, -1), id="theta-index-negative"),
+        pytest.param(lambda: SuperPoly.theta(3, 1, 1, 3), id="theta-index-n"),
+        pytest.param(lambda: SuperPoly.theta(3, 1, 1, 0, batch=-1), id="theta-batch"),
+        pytest.param(lambda: one_term((0, 0, 1), (1, 0)), id="thetas-unsorted"),
+        pytest.param(lambda: one_term((0, 0, 1), (1, 1)), id="thetas-repeated"),
+        pytest.param(lambda: one_term((0, 0, 1), (5,)), id="thetas-above-n"),
+        pytest.param(lambda: one_term((0, 0, -1), ()), id="exponent-negative"),
+        pytest.param(lambda: SuperPoly.x(3, 1, 1, 0).apply((0, 0, 1)), id="apply-repeat"),
+        pytest.param(lambda: SuperPoly.x(3, 1, 1, 0).apply((0, 1)), id="apply-too-short"),
+        pytest.param(lambda: SuperPoly.x(3, 1, 1, 0).apply((1, 2, 3)), id="apply-out-of-range"),
+    ],
+)
+def test_out_of_range_input_raises(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 # -- the antisymmetrized seed ---------------------------------------------------
 
 
@@ -328,7 +359,8 @@ def test_closure_is_symmetric_group_stable():
     "n, m, p, k",
     [(n, m, p, k) for n in range(1, 4) for k in range(1, n + 1) for m in (1, 2) for p in (1, 2)]
     + [(4, m, p, k) for k in range(1, 5) for m, p in [(1, 1), (2, 1), (1, 2)]]
-    + [(4, 2, 2, 2)]
+    + [(4, 2, 2, k) for k in range(2, 5)]
+    + [(3, 3, 1, 3)]
     + [(5, 1, 1, k) for k in range(1, 6)],
 )
 def test_closure_matches_reference(n, m, p, k):
@@ -361,6 +393,17 @@ def test_closure_skips_images_already_made(monkeypatch, n, m, p, bound):
     for k in range(1, n + 1):
         harmonic_closure(n, m, p, k)
     assert calls <= bound, calls
+
+
+@pytest.mark.parametrize(
+    "n, m, p, k, theta_cap",
+    [(4, 2, 1, 3, None), (4, 2, 2, 3, None), (3, 3, 1, 3, None), (4, 1, 2, 3, None)]
+    + [(5, 1, 1, 3, 1)],
+)
+def test_finished_closure_pieces_keep_no_insertion_index(n, m, p, k, theta_cap):
+    # power-2 polarizations insert into lower levels before their turn
+    space = harmonic_closure(n, m, p, k, theta_cap=theta_cap)
+    assert all(basis._holders is None for basis in space.spaces.values())
 
 
 def test_closure_refuses_a_negative_theta_cap():
