@@ -195,12 +195,6 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    if args.s < 0:
-        return _usage_error(f"need s >= 0, got s = {args.s}")
-    if args.fixed_k is not None and args.fixed_k < 1:
-        return _usage_error(f"need k >= 1, got --fixed-k {args.fixed_k}")
-    if args.fixed_codim is not None and args.fixed_codim < 0:
-        return _usage_error(f"need m >= 0, got --fixed-codim {args.fixed_codim}")
     mu = _parse_partition(args.mu)
     mode = FixedK(args.fixed_k) if args.fixed_k is not None else FixedCodim(args.fixed_codim)
     seq = multiplicity_sequence(mu, args.s, mode, args.n_max, source=args.source)

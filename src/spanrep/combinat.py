@@ -6,10 +6,13 @@ variables q, t, z.  Everything is pure and deterministic, and enumeration
 orders are pinned (partitions lexicographically decreasing, tableaux by
 earliest-row placement) so serialized output stays stable.
 
+Tableau statistics come from `des_maj_counts`, which builds no tableau;
+`syt_enumerate`, `des` and `maj` serve checks on the tableaux themselves.
+
 Memo tables (they only grow): `_partition_tuples`, `_partitions` (the
-`Partition`s of each n), `_syt_rows` (every enumerated tableau),
-`_des_maj_by_last_row` (the (des, maj) counts behind `des_maj_counts`,
-keyed by shape, row of the largest entry and maj cap), `_qbin` and `_cpb`.
+`Partition`s of each n), `_des_maj_by_last_row` (the (des, maj) counts
+behind `des_maj_counts`, keyed by shape, row of the largest entry and maj
+cap), `_qbin` and `_cpb`.
 """
 
 from __future__ import annotations
@@ -337,31 +340,24 @@ def maj(t: StandardTableau) -> int:
     return sum(_descents(t))
 
 
-@cache
-def _syt_rows(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    n = sum(shape)
-    if n == 0:
-        return ((),)
-    results: list[tuple[tuple[int, ...], ...]] = []
-    rows: list[list[int]] = [[] for _ in shape]
+def syt_enumerate(shape: Partition) -> list[StandardTableau]:
+    """All standard tableaux of the shape, in earliest-row placement order."""
+    parts, n = shape.parts, shape.size
+    out: list[StandardTableau] = []
+    rows: list[list[int]] = [[] for _ in parts]
 
     def place(v: int) -> None:
         if v > n:
-            results.append(tuple(tuple(r) for r in rows))
+            out.append(StandardTableau(tuple(tuple(r) for r in rows)))
             return
         for i, row in enumerate(rows):
-            if len(row) < shape[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+            if len(row) < parts[i] and (i == 0 or len(rows[i - 1]) > len(row)):
                 row.append(v)
                 place(v + 1)
                 row.pop()
 
     place(1)
-    return tuple(results)
-
-
-def syt_enumerate(shape: Partition) -> list[StandardTableau]:
-    """All standard tableaux of the shape, in earliest-row placement order."""
-    return [StandardTableau(rows) for rows in _syt_rows(shape.parts)]
+    return out
 
 
 def _corner_rows(shape: tuple[int, ...]) -> list[int]:

@@ -9,9 +9,9 @@ are killed by the vanishing q-binomial.
 `shape_multiplicity` recomputes single coefficients by counting
 (tableau, bounded partition) pairs, which is the stabilization
 mechanism: once n is large enough the bounding rectangle stops
-mattering and the count freezes.  It reads the tableaux only through
-their (des, maj) counts (`combinat.des_maj_counts`), so no tableau is
-built; `grfrob_tableaux` enumerates them, as the formula is written.
+mattering and the count freezes.  Both routes read the tableaux only
+through the number with each (des, maj) (`combinat.des_maj_counts`), so
+no tableau is built.
 """
 
 from __future__ import annotations
@@ -22,13 +22,10 @@ from .combinat import (
     GradedPoly,
     Partition,
     count_partitions_bounded,
-    des,
     des_maj_counts,
-    maj,
     pad,
     partitions_of,
     q_binomial,
-    syt_enumerate,
 )
 from .symfun import GradedFrobenius, SchurExpansion
 
@@ -46,19 +43,16 @@ __all__ = [
 
 
 def grfrob_tableaux(n: int, k: int) -> GradedFrobenius:
-    """Graded Frobenius image of the spanning-line cohomology ring, by tableaux."""
+    """Graded Frobenius image of the spanning-line cohomology ring, by tableaux
+    counted per (des, maj) class of each shape."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     acc: dict[int, dict[Partition, int]] = {}
     for lam in partitions_of(n):
-        for t in syt_enumerate(lam):
-            gap = q_binomial(n - des(t) - 1, n - k)
-            if not gap:
-                continue
-            m = maj(t)
-            for (qe, _, _), c in gap.items():
+        for (d, m), count in des_maj_counts(lam).items():
+            for (qe, _, _), c in q_binomial(n - d - 1, n - k).items():
                 bucket = acc.setdefault(m + qe, {})
-                bucket[lam] = bucket.get(lam, 0) + c
+                bucket[lam] = bucket.get(lam, 0) + count * c
     by_degree = {
         s: SchurExpansion(n, {lam: GradedPoly.const(c) for lam, c in bucket.items()})
         for s, bucket in acc.items()
@@ -74,7 +68,7 @@ def shape_multiplicity(lam: Partition, k: int, s: int) -> int:
     maj(T) + |nu| = s.  The tableaux enter only through the number with
     each (des, maj), maj <= s, and the partitions of each class are
     counted by a recursion on parts -- this is deliberately independent
-    of the q-binomial route in `grfrob_tableaux`.
+    of the q-binomials that `grfrob_tableaux` weights each class with.
     """
     n = lam.size
     if k < 1 or k > n or s < 0:
@@ -93,12 +87,20 @@ class FixedK:
 
     k: int
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"need k >= 1, got k = {self.k}")
+
 
 @dataclass(frozen=True)
 class FixedCodim:
     """Grow n with the codimension m = n - k held fixed."""
 
     m: int
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"need m >= 0, got m = {self.m}")
 
 
 Mode = FixedK | FixedCodim

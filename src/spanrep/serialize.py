@@ -49,13 +49,13 @@ def poly_to_json(poly: GradedPoly) -> list:
 def poly_from_json(data: list) -> GradedPoly:
     """Inverse of :func:`poly_to_json`; a coefficient that is not a decimal
     string raises ValueError."""
-    return GradedPoly({tuple(exps): _decimal(c) for exps, c in data})
+    return GradedPoly({tuple(exps): int(_decimal(c)) for exps, c in data})
 
 
-def _decimal(text) -> int:
+def _decimal(text) -> str:
     if not isinstance(text, str):
         raise ValueError(f"coefficient must be a decimal string, got {text!r}")
-    return int(text)
+    return text
 
 
 def partition_to_json(lam: Partition) -> list[int]:
@@ -131,13 +131,15 @@ def superpoly_to_json(poly: SuperPoly) -> dict:
 
 
 def superpoly_from_json(data: dict) -> SuperPoly:
+    """Inverse of :func:`superpoly_to_json`; a coefficient that is not a
+    string such as "3" or "-2/5" raises ValueError."""
     terms = {}
     for xs, thetas, coeff in data["terms"]:
         mono = SuperMonomial(
             tuple(tuple(int(e) for e in b) for b in xs),
             tuple(tuple(int(i) for i in b) for b in thetas),
         )
-        terms[mono] = Fraction(coeff)
+        terms[mono] = Fraction(_decimal(coeff))
     return SuperPoly(int(data["n"]), int(data["m"]), int(data["p"]), terms)
 
 

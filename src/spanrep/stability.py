@@ -67,8 +67,8 @@ def _multiplicity(mu: Partition, s: int, k: int, n: int, source: str) -> int:
         lam = pad(mu, n)
     except PaddingError:
         return 0  # padding infeasible: multiplicity is zero by convention
-    if not 1 <= k <= n or s < 0:
-        return 0  # empty configuration space, or no such degree
+    if not 1 <= k <= n:
+        return 0  # empty configuration space
     if source == "formula":
         return shape_multiplicity(lam, k, s)
     return decompose_coinvariants(n, k, max_degree=s).coefficient(s, lam).coefficient()
@@ -87,6 +87,8 @@ def multiplicity_sequence(
     oracle's scale guard the sequence is truncated and flagged rather than
     silently shortened.
     """
+    if s < 0:
+        raise ValueError("s must be nonnegative")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if source not in ("formula", "oracle"):

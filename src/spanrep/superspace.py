@@ -14,11 +14,11 @@ sorting permutation.  Within a batch theta_i theta_j = -theta_j theta_i;
 generators of distinct anticommuting batches commute (plain tensor
 product), which never affects dimensions or symmetric-group characters.
 
-Coefficients are exact: integers stay ``int`` throughout, and only a
-non-integer coefficient a caller passes in becomes a ``Fraction``.  Every
-linear operator (derivatives, polarizations, permutations, products) is a
-monomial map, ``image(mono)`` giving (monomial, factor) pairs, applied to a
-coefficient dict by the one kernel :func:`_linear_image`.
+Coefficients are exact: ``int`` or ``Fraction`` (any other type raises
+ValueError), and integers stay ``int`` throughout.  Every linear operator
+(derivatives, polarizations, permutations, products) is a monomial map,
+``image(mono)`` giving (monomial, factor) pairs, applied to a coefficient
+dict by the one kernel :func:`_linear_image`.
 
 Built on top of the arithmetic: the superspace Vandermonde, signed
 partial derivatives, polarization operators, harmonic closure spaces, and
@@ -181,7 +181,7 @@ class SuperPoly:
             if not all(_increasing_below(t, n) for t in mono.thetas):
                 raise ValueError(f"theta indices must increase within 0..{n - 1}: {mono!r}")
             if not isinstance(coeff, (int, Fraction)):
-                coeff = Fraction(coeff)
+                raise ValueError(f"coefficient must be an int or a Fraction, got {coeff!r}")
             if coeff:
                 clean[mono] = coeff
         self._terms = clean

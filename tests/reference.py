@@ -34,6 +34,8 @@
   :func:`grassmann_ideal`, with every within-batch image of every standard
   monomial reduced modulo the ideal on its own and the residuals summed in
   Fractions.
+- :func:`grfrob_tableaux`: the tableau formula with every standard
+  tableau enumerated and its des and maj read off one by one.
 - :func:`shape_multiplicity`: the pair count with every standard tableau
   of the shape enumerated and its des and maj read off one by one.
 - :func:`schur_decompose`: the character inner product summed term by
@@ -65,14 +67,14 @@ Grassmann references keep their own untruncated step, trace by
 :func:`callback_trace` and share the Schur readout; they differ in the
 ring the ideal is spanned in, and they form the invariants of the
 quotient and trace on them, where the library averages traces on the
-whole quotient piece.  The next two share the tableau enumeration,
-the partition counts and the characters, and differ in how they are
-combined.  The closure search shares the seed, the derivatives and the
-polynomial product; it differs in how polarizations are applied, in the
-coefficient type and in the linear algebra.  The key shares no code with
-the library.  The fixed-monomial count shares the super-monomial
-enumeration and the subscript action, where the library counts by cycle
-type.
+whole quotient piece.  The next three share the tableau enumeration,
+the q-binomials, the partition counts and the characters, and differ in
+how they are combined.  The closure search shares the seed, the
+derivatives and the polynomial product; it differs in how polarizations
+are applied, in the coefficient type and in the linear algebra.  The key
+shares no code with the library.  The fixed-monomial count shares the
+super-monomial enumeration and the subscript action, where the library
+counts by cycle type.
 """
 
 from __future__ import annotations
@@ -83,12 +85,14 @@ from functools import cache
 from itertools import permutations, product
 
 from spanrep.combinat import (
+    GradedPoly,
     Partition,
     count_partitions_bounded,
     des,
     maj,
     partitions_of,
     perm_of_type,
+    q_binomial,
     syt_enumerate,
     z_lambda,
 )
@@ -492,6 +496,23 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     table = GradedFrobenius(n, k, by_degree)
     assert table.dims == dims, (d, n, k, dims, table.dims)
     return table
+
+
+def grfrob_tableaux(n: int, k: int) -> GradedFrobenius:
+    """The sum over standard tableaux T with n boxes of
+    q^maj(T) * qbinom(n - des(T) - 1, n - k) * s_shape(T), one T at a time."""
+    acc: dict[int, dict[Partition, int]] = {}
+    for lam in partitions_of(n):
+        for t in syt_enumerate(lam):
+            m = maj(t)
+            for (qe, _, _), c in q_binomial(n - des(t) - 1, n - k).items():
+                bucket = acc.setdefault(m + qe, {})
+                bucket[lam] = bucket.get(lam, 0) + c
+    by_degree = {
+        s: SchurExpansion(n, {lam: GradedPoly.const(c) for lam, c in bucket.items()})
+        for s, bucket in acc.items()
+    }
+    return GradedFrobenius(n, k, by_degree)
 
 
 def shape_multiplicity(lam: Partition, k: int, s: int) -> int:

@@ -35,6 +35,26 @@ def test_frobenius_both_sources_agree(capsys):
     assert degrees == {0, 1, 2}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobenius", "6", "3", "--source", "both"],
+        ["stability", "1", "3", "--fixed-k", "2", "--n-max", "10"],
+        ["explore", "--problem", "rw-twist", "--n", "3"],
+    ],
+)
+def test_formula_side_builds_no_tableau(capsys, monkeypatch, tmp_path, argv):
+    import spanrep.combinat as combinat_mod
+
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("a tableau was built")
+
+    monkeypatch.setattr(combinat_mod, "StandardTableau", no_tableau)
+    monkeypatch.chdir(tmp_path)  # explore's default fixtures directory is relative
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
 def test_frobenius_point_case(capsys):
     code, out, _ = run_cli(capsys, "frobenius", "4", "1")
     assert code == 0

@@ -2,6 +2,7 @@ import pytest
 from math import factorial
 
 import reference
+from spanrep import combinat
 from spanrep.combinat import GradedPoly, Partition, pad, partitions_of
 from spanrep.errors import PaddingError
 from spanrep.formula import (
@@ -55,6 +56,19 @@ def test_grfrob_degree_zero_is_trivial_module():
     for n in range(1, 8):
         for k in range(1, n + 1):
             assert grfrob_tableaux(n, k).by_degree[0] == exp_of(n, ((n,), 1))
+
+
+def test_grfrob_matches_enumeration_and_builds_no_tableau(monkeypatch):
+    expected = {
+        (n, k): reference.grfrob_tableaux(n, k) for n in range(1, 9) for k in range(1, n + 1)
+    }
+
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("the formula built a tableau")
+
+    monkeypatch.setattr(combinat, "StandardTableau", no_tableau)
+    for (n, k), table in expected.items():
+        assert grfrob_tableaux(n, k) == table, (n, k)
 
 
 def test_grfrob_validates_range():

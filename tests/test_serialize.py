@@ -64,6 +64,15 @@ def test_superpoly_round_trip():
     assert superpoly_from_json(superpoly_to_json(poly)) == poly
 
 
+@pytest.mark.parametrize("coeff", [0.1, 1.5, 3, True, None])
+def test_superpoly_coefficients_that_are_not_strings_are_rejected(coeff):
+    # a JSON number would become a binary-float Fraction such as
+    # 3602879701896397/36028797018963968 for 0.1
+    data = {"n": 1, "m": 1, "p": 1, "terms": [[[[1]], [[]], coeff]]}
+    with pytest.raises(ValueError, match="decimal string"):
+        superpoly_from_json(data)
+
+
 def test_envelope_round_trip_bytes():
     env = make_envelope("frobenius", {"n": 3, "k": 2}, {"kind": "x", "rows": [1, 2]}, "formula", "0.1.0")
     raw = envelope_bytes(env)

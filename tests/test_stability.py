@@ -23,10 +23,25 @@ def test_sequence_trivial_rep_in_h2():
     assert seq.truncated_at is None
 
 
-def test_oracle_sequence_is_zero_below_degree_zero():
-    seq = multiplicity_sequence(Partition(), -1, FixedK(2), 4, source="oracle")
-    assert seq.values == multiplicity_sequence(Partition(), -1, FixedK(2), 4).values
-    assert all(v == 0 for _, v in seq.values)
+@pytest.mark.parametrize("source", ["formula", "oracle"])
+def test_sequence_refuses_negative_degree(source):
+    with pytest.raises(ValueError, match="s must be nonnegative"):
+        multiplicity_sequence(Partition(), -1, FixedK(2), 4, source=source)
+
+
+@pytest.mark.parametrize(
+    "make, value, message",
+    [
+        (FixedK, 0, "need k >= 1"),
+        (FixedK, -3, "need k >= 1"),
+        (FixedCodim, -1, "need m >= 0"),
+        (FixedCodim, -5, "need m >= 0"),
+    ],
+)
+def test_modes_refuse_out_of_range_parameters(make, value, message):
+    # FixedCodim(-1) used to give an all-zero sequence that passed as stable
+    with pytest.raises(ValueError, match=message):
+        make(value)
 
 
 def test_sequence_zero_when_mu_exceeds_s():

@@ -88,6 +88,13 @@ def test_out_of_range_input_raises(make):
         make()
 
 
+@pytest.mark.parametrize("coeff", [0.1, 1.5, 2.0, "1/3", None])
+def test_coefficients_that_are_not_exact_numbers_are_rejected(coeff):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        SuperPoly(3, 1, 1, {SuperMonomial(((0, 0, 1),), ((),)): coeff})
+
+
 # -- the antisymmetrized seed ---------------------------------------------------
 
 
