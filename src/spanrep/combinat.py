@@ -375,7 +375,10 @@ def _des_maj_by_last_row(shape: tuple[int, ...], row: int, cap: int) -> dict[tup
     Removing n leaves a tableau of the smaller shape with n - 1 ending some
     corner row r.  n - 1 is a descent exactly when r is above the row of n,
     and it then adds n - 1 to maj; no other descent changes.  So the cap
-    only falls on the way down, and pruning a state above it is exact.
+    only falls on the way down, and pruning a state above it is exact.  A
+    cap passed down is clamped to the smaller shape's largest maj,
+    (n - 1)(n - 2)/2, so each (shape, row) is stored under one cap once no
+    cap prunes it.
     """
     n = sum(shape)
     if n == 1:
@@ -383,15 +386,16 @@ def _des_maj_by_last_row(shape: tuple[int, ...], row: int, cap: int) -> dict[tup
     smaller = shape[:row] + (shape[row] - 1,) + shape[row + 1:]
     if not smaller[-1]:
         smaller = smaller[:-1]
+    top = (n - 1) * (n - 2) // 2
     out: dict[tuple[int, int], int] = {}
     for r in _corner_rows(smaller):
         if r < row:
             if cap < n - 1:
                 continue
-            for (d, m), c in _des_maj_by_last_row(smaller, r, cap - (n - 1)).items():
+            for (d, m), c in _des_maj_by_last_row(smaller, r, min(cap - (n - 1), top)).items():
                 out[d + 1, m + n - 1] = out.get((d + 1, m + n - 1), 0) + c
         else:
-            for dm, c in _des_maj_by_last_row(smaller, r, cap).items():
+            for dm, c in _des_maj_by_last_row(smaller, r, min(cap, top)).items():
                 out[dm] = out.get(dm, 0) + c
     return out
 

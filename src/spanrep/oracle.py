@@ -67,7 +67,7 @@ from operator import itemgetter
 from .combinat import Partition, cycle_type, partitions_of, perm_of_type, z_lambda
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, quotient_trace
-from .superspace import SuperMonomial, apply_perm, mono_mul
+from .superspace import SuperMonomial, mono_mul, permuter
 from .symfun import GradedFrobenius, SchurExpansion, dimension, schur_from_traces
 
 __all__ = [
@@ -485,15 +485,15 @@ def _invariant_basis(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> l
     supports, so the nonzero sums are linearly independent; a sum cancels
     to zero when a stabilizer element acts by -1, and is dropped.
     """
-    group = list(permutations(range(n)))
+    group = list(map(permuter, permutations(range(n))))
     seen: set = set()
     sums = []
     for mono in _multidegree_basis(n, alpha, beta):
         if mono in seen:
             continue
         acc: dict = {}
-        for w in group:
-            img, sign = apply_perm(mono, w)
+        for image in group:
+            img, sign = image(mono)
             acc[img] = acc.get(img, 0) + sign
         seen.update(acc)
         if vec := {m: c for m, c in acc.items() if c}:
@@ -665,11 +665,9 @@ def decompose_super_coinvariants(
     standard = ideal.non_pivots(_multidegree_basis(n, alpha, beta))
 
     def trace(rho):
-        w = perm_of_type(rho, n)
+        image = permuter(perm_of_type(rho, n))
         whole = _signed_fixed_trace(rho.parts, alpha, beta)
-        return quotient_trace(
-            ideal, standard, lambda monos: map(apply_perm, monos, repeat(w)), whole
-        )
+        return quotient_trace(ideal, standard, lambda monos: map(image, monos), whole)
 
     return schur_from_traces(n, trace)
 

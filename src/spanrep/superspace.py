@@ -18,7 +18,10 @@ Coefficients are exact: ``int`` or ``Fraction`` (any other type raises
 ValueError), and integers stay ``int`` throughout.  Every linear operator
 (derivatives, polarizations, permutations, products) is a monomial map,
 ``image(mono)`` giving (monomial, factor) pairs, applied to a coefficient
-dict by the one kernel :func:`_linear_image`.
+dict by the one kernel :func:`_linear_image`.  The subscript action of a
+permutation w is the one map :func:`permuter` (w), built once per w and
+applied to every monomial that w moves; :func:`apply_perm` is that map
+applied to one monomial.
 
 Built on top of the arithmetic: the superspace Vandermonde, signed
 partial derivatives, polarization operators, harmonic closure spaces, and
@@ -34,11 +37,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, repeat
+from itertools import combinations, permutations
 from math import factorial, perm
 from operator import itemgetter
 
-from .combinat import GradedPoly, cycle_type, perm_of_type
+from .combinat import GradedPoly, partitions_of, perm_of_type
 from .errors import ScaleGuardError
 from .linalg import EchelonBasis, stable_trace
 from .symfun import SchurExpansion, omega, schur_from_traces
@@ -53,6 +56,7 @@ __all__ = [
     "d_x",
     "frobenius_of_closure",
     "harmonic_closure",
+    "permuter",
     "polarization",
     "superspace_vandermonde",
     "vandermonde_derivative_identity",
@@ -113,21 +117,37 @@ def mono_mul(a: SuperMonomial, b: SuperMonomial) -> tuple[SuperMonomial | None, 
     return SuperMonomial(xs, tuple(thetas)), sign
 
 
+def permuter(w: tuple[int, ...]):
+    """The subscript action of w (w[i] = image of i) as the monomial map
+    mono -> (image, theta sign), the one permutation path of the library.
+
+    The x-exponents are read through itemgetter of w^-1.  Each theta part
+    is sorted once per map, through :func:`theta_canonical`, and looked up
+    in a table local to the map after that, so build one map per w and
+    apply it to many monomials.
+    """
+    inverse = sorted(range(len(w)), key=w.__getitem__)
+    move = itemgetter(*inverse) if len(w) > 1 else tuple
+    theta_images: dict = {}
+
+    def image(mono: SuperMonomial) -> tuple[SuperMonomial, int]:
+        xs, thetas = mono
+        hit = theta_images.get(thetas)
+        if hit is None:
+            sign, mapped = 1, []
+            for batch in thetas:
+                canon, s = theta_canonical(tuple(map(w.__getitem__, batch)))
+                sign *= s
+                mapped.append(canon)
+            hit = theta_images[thetas] = tuple(mapped), sign
+        return SuperMonomial(tuple(map(move, xs)), hit[0]), hit[1]
+
+    return image
+
+
 def apply_perm(mono: SuperMonomial, w: tuple[int, ...]) -> tuple[SuperMonomial, int]:
     """Permute generator subscripts by w (w[i] = image of i), with theta sign."""
-    new_xs = []
-    for batch in mono.xs:
-        out = [0] * len(batch)
-        for i, e in enumerate(batch):
-            out[w[i]] = e
-        new_xs.append(tuple(out))
-    new_thetas = []
-    sign = 1
-    for batch in mono.thetas:
-        mapped, s = theta_canonical(tuple(w[i] for i in batch))
-        sign *= s
-        new_thetas.append(mapped)
-    return SuperMonomial(tuple(new_xs), tuple(new_thetas)), sign
+    return permuter(w)(mono)
 
 
 def _linear_image(terms: dict, image) -> dict:
@@ -274,7 +294,8 @@ class SuperPoly:
         """Diagonal subscript action of a permutation."""
         if sorted(w) != list(range(self.n)):
             raise ValueError(f"{w!r} is not a permutation of range({self.n})")
-        return self._like(_linear_image(self._terms, lambda mono: (apply_perm(mono, w),)))
+        image = permuter(w)
+        return self._like(_linear_image(self._terms, lambda mono: (image(mono),)))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -300,9 +321,13 @@ def _mono_str(mono: SuperMonomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _perm_sign(w: tuple[int, ...]) -> int:
-    """The sign of w, (-1)^(n - number of cycles)."""
-    return -1 if (len(w) - len(cycle_type(w))) % 2 else 1
+def _lex_parities(k: int) -> list[int]:
+    """The sign (-1)^inversions of each permutation of range(k), in the
+    order of itertools.permutations: a first entry j adds j inversions."""
+    signs = [1]
+    for size in range(2, k + 1):
+        signs = [-s if j % 2 else s for j in range(size) for s in signs]
+    return signs
 
 
 def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> SuperPoly:
@@ -310,8 +335,24 @@ def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> Sup
 
     With r = n - k, the seed monomial is x_0^{k-1} ... x_r^{k-1} x_{r+1}^{k-2}
     ... x_{n-1}^0 * theta_0 ... theta_{r-1}, and the result is the signed sum
-    over all n! subscript permutations.  `ambient` embeds the result in a
-    ring on more generators (extra subscripts unused).
+    over all n! subscript permutations w of sgn(w) w(seed).  `ambient` embeds
+    the result in a ring on more generators (extra subscripts unused).
+
+    The sum is taken over the cosets of the seed's stabilizer.  A w fixes
+    the seed up to sign exactly when it permutes the theta positions
+    0..r-1 among themselves: it must keep that set, and then fix each of
+    r..n-1, whose exponents k-1, ..., 0 differ.  That stabilizer is S_r,
+    and each of its elements s acts by sgn(s) * sgn(s) = +1, the second
+    sign being the theta reordering.  So w and w s give the same term,
+    distinct cosets give distinct monomials, and the result is r! times
+    one term per coset.  A coset is named by its theta images, an r-subset
+    taken increasing (so the theta sign is +1), and an arrangement of the
+    other n - r positions; the term's sign is the inversion parity of w,
+    whose sum(chosen) - r(r-1)/2 cross inversions between the two parts
+    are read once per subset.  Subsets in lexicographic order and
+    arrangements in permutation order meet each coset at its
+    lexicographically least member, so the terms come in the order of the
+    full sum over permutations(range(n)).
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
@@ -319,21 +360,21 @@ def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> Sup
     if amb < n:
         raise ValueError("ambient must be at least n")
     r = n - k
-    exps = [0] * amb
-    for i in range(r):
-        exps[i] = k - 1
-    for j in range(k):
-        exps[r + j] = k - 1 - j
-    seed = SuperMonomial((tuple(exps),), (tuple(range(r)),))
-    fixed = tuple(range(n, amb))
-
-    def antisymmetrize(mono):
-        for w in permutations(range(n)):
-            img, tsign = apply_perm(mono, w + fixed)
-            yield img, _perm_sign(w) * tsign
-
+    stabilizer_order = factorial(r)
+    arrangement_signs = _lex_parities(k)
+    terms: dict = {}
+    for chosen in combinations(range(n), r):
+        rest = [i for i in range(n) if i not in chosen]
+        coeff = -stabilizer_order if (sum(chosen) - r * (r - 1) // 2) % 2 else stabilizer_order
+        exps = [0] * amb
+        for i in chosen:
+            exps[i] = k - 1
+        for arrangement, sign in zip(permutations(rest), arrangement_signs):
+            for e, i in enumerate(reversed(arrangement)):
+                exps[i] = e
+            terms[SuperMonomial((tuple(exps),), (chosen,))] = sign * coeff
     # canonical by construction: build it unchecked
-    return SuperPoly.zero(amb, 1, 1)._like(_linear_image({seed: 1}, antisymmetrize))
+    return SuperPoly.zero(amb, 1, 1)._like(terms)
 
 
 def _d_x_image(i: int, batch: int, mono: SuperMonomial):
@@ -634,7 +675,8 @@ def frobenius_of_closure(
 
     Traces are read off pivot coordinates of the stored echelon bases by
     :func:`~spanrep.linalg.stable_trace`, given the subscript action as a
-    signed image of columns (:func:`apply_perm`); that is valid because the
+    signed image of columns: one :func:`permuter` map per cycle type,
+    shared by every piece; that is valid because the
     closure space is stable under the diagonal subscript action (the seed
     is antisymmetric and the operator family is closed under conjugation
     by permutations).
@@ -678,15 +720,13 @@ def frobenius_of_closure(
             f"closure of (n, m, p, k) = {(closure.n, closure.m, closure.p, closure.k)}, "
             f"asked for {(n, m, p, k)}"
         )
+    permuters = {rho: permuter(perm_of_type(rho, n)) for rho in partitions_of(n)}
     out: dict[Multidegree, SchurExpansion] = {}
     for md, basis in sorted(closure.spaces.items()):
         if not basis.rank:
             continue
         out[md] = schur_from_traces(
-            n,
-            lambda rho: stable_trace(
-                basis, lambda cols: map(apply_perm, cols, repeat(perm_of_type(rho, n)))
-            ),
+            n, lambda rho: stable_trace(basis, lambda cols: map(permuters[rho], cols))
         )
     if not dual_rule:
         return out

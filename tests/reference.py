@@ -50,12 +50,18 @@
 - :func:`signed_fixed_trace`: a permutation's trace on a free superspace
   piece, as the signed count of the super-monomials it fixes, each
   monomial permuted one by one.
+- :func:`apply_perm`: the subscript action on one super-monomial, one
+  exponent and one theta index at a time, with the theta sign.
+- :func:`_perm_sign`: the sign of a permutation, read off its cycle type.
+- :func:`superspace_vandermonde`: the Vandermonde seed summed over all n!
+  subscript permutations, each signed by :func:`_perm_sign` times its
+  theta sign.
 
 The first two share no code with the library beyond monomial enumeration,
 the symmetric polynomials and cycle-type representatives.  The line
 ideal shares the echelon basis and the generators, and keeps its own
 step.  The next three share the library's echelon basis, super-monomial
-enumeration, subscript action and monomial products, and the quotient
+enumeration and monomial products, permute by :func:`apply_perm`, and the quotient
 shares the Schur readout and traces by :func:`callback_trace`; they
 differ from the library's orbit sums and one-step-down recursion in how
 invariants and the ideal piece are spanned, multiply through their own
@@ -69,12 +75,14 @@ ring the ideal is spanned in, and they form the invariants of the
 quotient and trace on them, where the library averages traces on the
 whole quotient piece.  The next three share the tableau enumeration,
 the q-binomials, the partition counts and the characters, and differ in
-how they are combined.  The closure search shares the seed, the
-derivatives and the polynomial product; it differs in how polarizations
+how they are combined.  The closure search starts from
+:func:`superspace_vandermonde` and shares the derivatives and the
+polynomial product; it differs in how polarizations
 are applied, in the coefficient type and in the linear algebra.  The key
 shares no code with the library.  The fixed-monomial count shares the
-super-monomial enumeration and the subscript action, where the library
-counts by cycle type.
+super-monomial enumeration and permutes by :func:`apply_perm`, where the
+library counts by cycle type.  The action, the sign and the seed share
+only the theta sort and the cycle type with the library.
 """
 
 from __future__ import annotations
@@ -88,6 +96,7 @@ from spanrep.combinat import (
     GradedPoly,
     Partition,
     count_partitions_bounded,
+    cycle_type,
     des,
     maj,
     partitions_of,
@@ -110,11 +119,10 @@ from spanrep.oracle import (
 from spanrep.superspace import (
     SuperMonomial,
     SuperPoly,
-    apply_perm,
     d_theta,
     d_x,
     mono_mul,
-    superspace_vandermonde,
+    theta_canonical,
 )
 from spanrep.symfun import (
     ClassFunction,
@@ -197,6 +205,46 @@ class FractionEchelonBasis:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
+
+
+def apply_perm(mono: SuperMonomial, w: tuple) -> tuple[SuperMonomial, int]:
+    """Permute generator subscripts by w (w[i] = image of i), one exponent
+    and one theta index at a time, with the theta sign."""
+    new_xs = []
+    for batch in mono.xs:
+        out = [0] * len(batch)
+        for i, e in enumerate(batch):
+            out[w[i]] = e
+        new_xs.append(tuple(out))
+    new_thetas = []
+    sign = 1
+    for batch in mono.thetas:
+        mapped, s = theta_canonical(tuple(w[i] for i in batch))
+        sign *= s
+        new_thetas.append(mapped)
+    return SuperMonomial(tuple(new_xs), tuple(new_thetas)), sign
+
+
+def _perm_sign(w: tuple) -> int:
+    """The sign of w, (-1)^(n - number of cycles)."""
+    return -1 if (len(w) - len(cycle_type(w))) % 2 else 1
+
+
+def superspace_vandermonde(n: int, k: int, *, ambient: int | None = None) -> SuperPoly:
+    """The seed x_0^{k-1} ... x_r^{k-1} x_{r+1}^{k-2} ... x_{n-1}^0 *
+    theta_0 ... theta_{r-1}, r = n - k, summed over all n! subscript
+    permutations w with the sign sgn(w) times the theta sign, in a ring on
+    `ambient` generators (n when None)."""
+    amb = n if ambient is None else ambient
+    r = n - k
+    exps = [k - 1] * r + list(range(k - 1, -1, -1)) + [0] * (amb - n)
+    seed = SuperMonomial((tuple(exps),), (tuple(range(r)),))
+    fixed = tuple(range(n, amb))
+    acc: dict = {}
+    for w in permutations(range(n)):
+        img, tsign = apply_perm(seed, w + fixed)
+        acc[img] = acc.get(img, 0) + _perm_sign(w) * tsign
+    return SuperPoly(amb, 1, 1, {mono: c for mono, c in acc.items() if c})
 
 
 def pivot_trace(basis: FractionEchelonBasis, preimage) -> Fraction:

@@ -5,6 +5,7 @@ from math import comb, factorial
 
 from spanrep.combinat import (
     GradedPoly,
+    _des_maj_by_last_row,
     Partition,
     StandardTableau,
     count_partitions_bounded,
@@ -189,6 +190,26 @@ def test_des_maj_counts_edge_cases():
     assert des_maj_counts(Partition((1, 1, 1))) == {(2, 3): 1}
     keys = list(des_maj_counts(Partition((3, 2, 1))))
     assert keys == sorted(keys)
+
+
+def test_des_maj_table_holds_one_entry_per_shape_and_corner():
+    # an uncapped count stores each (sub-shape, row of its largest entry)
+    # once, whatever cap the recursion above it carried
+    def corners(shape):
+        return [r for r, part in enumerate(shape) if part > (shape[r + 1:] or (0,))[0]]
+
+    shape = (4, 2, 1, 1)
+    seen, todo = set(), [(shape, r) for r in corners(shape)]
+    while todo:
+        sub, row = todo.pop()
+        if (sub, row) in seen:
+            continue
+        seen.add((sub, row))
+        smaller = tuple(part - (r == row) for r, part in enumerate(sub) if part - (r == row))
+        todo += [(smaller, r) for r in corners(smaller)]
+    _des_maj_by_last_row.cache_clear()
+    des_maj_counts(Partition(shape))
+    assert _des_maj_by_last_row.cache_info().currsize == len(seen)
 
 
 def _q_int(m):

@@ -3,12 +3,13 @@ import functools
 import pickle
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from reference import _perm_sign
 from spanrep.cli import _closure_z_slice
 from spanrep.combinat import GradedPoly, Partition
 from spanrep.errors import ScaleGuardError
@@ -17,13 +18,13 @@ from spanrep.oracle import decompose_coinvariants
 from spanrep.superspace import (
     SuperMonomial,
     SuperPoly,
-    _perm_sign,
     apply_perm,
     d_theta,
     d_x,
     frobenius_of_closure,
     harmonic_closure,
     mono_mul,
+    permuter,
     polarization,
     superspace_vandermonde,
     theta_canonical,
@@ -115,6 +116,17 @@ def test_vandermonde_full_k_matches_product_formula():
         assert superspace_vandermonde(n, n) == product
 
 
+def test_coset_vandermonde_matches_the_full_sum():
+    # terms and key order; k = n is r = 0 and k = 1 is r = n - 1
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for ambient in (None, n + 1, n + 2):
+                got = superspace_vandermonde(n, k, ambient=ambient)
+                want = reference.superspace_vandermonde(n, k, ambient=ambient)
+                assert got == want, (n, k, ambient)
+                assert list(got.terms().items()) == list(want.terms().items()), (n, k, ambient)
+
+
 def test_perm_sign_is_the_sorting_sign():
     for n in range(7):
         for w in permutations(range(n)):
@@ -129,6 +141,32 @@ def test_vandermonde_antisymmetry():
                 w = list(range(n))
                 w[i], w[i + 1] = w[i + 1], w[i]
                 assert delta.apply(tuple(w)) == -delta
+
+
+# -- the subscript action -------------------------------------------------------
+
+
+def _theta_batches(n):
+    """Empty, full and partial increasing theta batches on n subscripts."""
+    return sorted({(), tuple(range(n)), tuple(range(0, n, 2)), tuple(range(1, n)), (n - 1,)})
+
+
+def test_permuter_matches_the_one_monomial_action():
+    for n in range(1, 6):
+        exps = [tuple(range(n)), tuple((3 * i + 1) % 4 for i in range(n)), (0,) * n]
+        for m in range(3):
+            for p in range(3):
+                monos = [
+                    SuperMonomial(xs, thetas)
+                    for xs in product(exps, repeat=m)
+                    for thetas in product(_theta_batches(n), repeat=p)
+                ]
+                for w in permutations(range(n)):
+                    image = permuter(w)
+                    for mono in monos:
+                        got = image(mono)
+                        assert got == reference.apply_perm(mono, w), (mono, w)
+                        assert type(got[0]) is SuperMonomial
 
 
 # -- derivatives ----------------------------------------------------------------
@@ -635,6 +673,11 @@ def test_derivative_identity_all_small_cases():
     for n in range(1, 5):
         for k in range(n):
             assert vandermonde_derivative_identity(n, k).equal, (n, k)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_derivative_identity_at_n5(k):
+    assert vandermonde_derivative_identity(5, k).equal
 
 
 def test_derivative_identity_validation():
