@@ -4,6 +4,12 @@ and the exploratory comparisons for the open problems.
 Exit codes: 0 ok, 1 comparison failure, 2 usage error, 3 inconclusive,
 4 scale guard.  Experiments (`explore`) report findings and always exit 0
 unless a scale guard trips; they never gate anything.
+
+Each command has one path: a usage error, whether a command or the library
+finds it, is a raised ValueError that `main` alone prints as one `error:`
+line; `frobenius` computes and stores its table at one site, reached by a
+cache miss, a corrupt entry and `--verify-cache` alike; `superspace` builds
+one payload per mode and shares a single envelope and exit.
 """
 
 from __future__ import annotations
@@ -60,11 +66,6 @@ def _parse_partition(text: str) -> Partition:
     if text in ("", "-", "0"):
         return Partition()
     return Partition(tuple(int(x) for x in text.split(",")))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _emit_json(envelope: dict) -> None:
@@ -150,34 +151,28 @@ def _printable_frobenius(payload, params: dict) -> bool:
 def cmd_frobenius(args) -> int:
     n, k = args.n, args.k
     if args.max_degree is not None and args.max_degree < 0:
-        return _usage_error(f"need --max-degree >= 0, got {args.max_degree}")
+        raise ValueError(f"need --max-degree >= 0, got {args.max_degree}")
     params = {"n": n, "k": k, "source": args.source, "max_degree": args.max_degree}
     cache_dir = _cache_dir(args)
     key = cache_key("frobenius", params)
     envelope = None
     if cache_dir is not None:
-        status, cached = cache_get(cache_dir, key)
-        if status == "hit" and not _printable_frobenius(cached["payload"], params):
-            status = "corrupt"
+        status, envelope = cache_get(cache_dir, key)
+        if status == "hit" and not _printable_frobenius(envelope["payload"], params):
+            status, envelope = "corrupt", None
         if status == "corrupt":
             print("warning: corrupt cache entry, recomputing", file=sys.stderr)
-        elif status == "hit":
-            if args.verify_cache:
-                payload = _frobenius_payload(n, k, args.source, args.max_degree)
-                fresh = make_envelope("frobenius", params, payload, args.source, __version__)
-                if payloads_equal(cached, fresh):
-                    envelope = cached
-                else:
-                    print("warning: cache entry does not match recomputation", file=sys.stderr)
-                    envelope = fresh
-                    cache_put(cache_dir, key, fresh)
-            else:
-                envelope = cached
-    if envelope is None:
+    # a miss, a corrupt entry and --verify-cache all compute here; a verified
+    # hit equal to its recomputation is still printed as read
+    if envelope is None or args.verify_cache:
         payload = _frobenius_payload(n, k, args.source, args.max_degree)
-        envelope = make_envelope("frobenius", params, payload, args.source, __version__)
-        if cache_dir is not None:
-            cache_put(cache_dir, key, envelope)
+        fresh = make_envelope("frobenius", params, payload, args.source, __version__)
+        if envelope is None or not payloads_equal(envelope, fresh):
+            if envelope is not None:
+                print("warning: cache entry does not match recomputation", file=sys.stderr)
+            envelope = fresh
+            if cache_dir is not None:
+                cache_put(cache_dir, key, envelope)
     if args.format == "json":
         _emit_json(envelope)
     else:
@@ -232,17 +227,10 @@ def cmd_stability(args) -> int:
 # -- superspace ---------------------------------------------------------
 
 
-def _hilbert_table(closure) -> list:
-    rows = []
-    for (alpha, beta), dim in closure.dims().items():
-        rows.append({"x_degree": alpha[0], "theta_degree": beta[0], "dim": dim})
-    return rows
-
-
 def cmd_superspace(args) -> int:
     n, k = args.n, args.k
-    params = {"n": n, "k": k}
     if args.check_identity:
+        mode = "check-identity"
         result = vandermonde_derivative_identity(n, k)
         payload = {
             "kind": "identity_check",
@@ -252,35 +240,31 @@ def cmd_superspace(args) -> int:
             "lhs": superpoly_to_json(result.lhs),
             "rhs": superpoly_to_json(result.rhs),
         }
-        _emit_json(make_envelope("superspace", params | {"mode": "check-identity"},
-                                 payload, "superspace", __version__))
-        return EXIT_OK if result.equal else EXIT_MISMATCH
-    if args.closure:
+    elif args.closure:
+        mode = "closure"
         closure = harmonic_closure(n, 1, 1, k)
         payload = {
             "kind": "closure_hilbert",
             "n": n,
             "k": k,
-            "entries": _hilbert_table(closure),
+            "entries": [
+                {"x_degree": alpha[0], "theta_degree": beta[0], "dim": dim}
+                for (alpha, beta), dim in closure.dims().items()
+            ],
             "series": poly_to_json(closure.hilbert()),
         }
-        _emit_json(make_envelope("superspace", params | {"mode": "closure"},
-                                 payload, "superspace", __version__))
-        return EXIT_OK
-    tables = frobenius_of_closure(n, 1, 1, k)
-    entries = []
-    for (alpha, beta), exp in sorted(tables.items()):
-        entries.append(
-            {
-                "x_degree": alpha[0],
-                "theta_degree": beta[0],
-                "expansion": expansion_to_json(exp),
-            }
-        )
-    payload = {"kind": "closure_frobenius", "n": n, "k": k, "entries": entries}
-    _emit_json(make_envelope("superspace", params | {"mode": "frobenius"},
-                             payload, "superspace", __version__))
-    return EXIT_OK
+    else:
+        mode = "frobenius"
+        tables = frobenius_of_closure(n, 1, 1, k)
+        entries = [
+            {"x_degree": alpha[0], "theta_degree": beta[0], "expansion": expansion_to_json(exp)}
+            for (alpha, beta), exp in sorted(tables.items())
+        ]
+        payload = {"kind": "closure_frobenius", "n": n, "k": k, "entries": entries}
+    params = {"n": n, "k": k, "mode": mode}
+    _emit_json(make_envelope("superspace", params, payload, "superspace", __version__))
+    # only the identity check can fail
+    return EXIT_OK if payload.get("equal", True) else EXIT_MISMATCH
 
 
 # -- explore ------------------------------------------------------------
@@ -375,7 +359,7 @@ def _explore_grassmann(d: int, n: int, k: int) -> dict:
 
 def cmd_explore(args) -> int:
     if args.problem != "grassmann" and args.n < 1:
-        return _usage_error(f"need n >= 1, got --n {args.n}")
+        raise ValueError(f"need n >= 1, got --n {args.n}")
     if args.problem == "rw-twist":
         payload = _explore_rw_twist(args.n)
         params = {"problem": "rw-twist", "n": args.n}
@@ -462,11 +446,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scale guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, OSError) as exc:
-        # The library rejects out-of-range arguments with ValueError, and an
-        # unwritable --cache-dir or --fixtures-dir raises OSError, so here
-        # each is a usage error.  RuntimeError stays uncaught: it is how the
+        # Commands and the library reject out-of-range arguments with
+        # ValueError, and an unwritable --cache-dir or --fixtures-dir raises
+        # OSError, so here each is a usage error.  RuntimeError stays uncaught: it is how the
         # exactness tripwires report a bug.
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

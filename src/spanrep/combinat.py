@@ -46,7 +46,8 @@ __all__ = [
 class GradedPoly:
     """Exact polynomial in the grading variables q, t, z.
 
-    Terms map exponent triples (q, t, z) to nonzero integer coefficients.
+    Terms map exponent triples (q, t, z) to nonzero integer coefficients;
+    any other coefficient type raises ValueError.
     Instances are immutable by convention: every operation returns a new
     polynomial, so results can be shared and memoized freely.
     """
@@ -59,6 +60,8 @@ class GradedPoly:
             qe, te, ze = exps
             if qe < 0 or te < 0 or ze < 0:
                 raise ValueError(f"negative exponent in {exps}")
+            if not isinstance(coeff, int):
+                raise ValueError(f"coefficient must be an int, got {coeff!r}")
             if coeff:
                 clean[(qe, te, ze)] = coeff
         self._terms = clean

@@ -71,12 +71,16 @@ def irr_character(lam: Partition, rho: Partition) -> int:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Exact-rational class function, stored on cycle types of S_n."""
+    """Exact-rational class function, stored on cycle types of S_n.  Values
+    must be ``int`` or ``Fraction``; any other type raises ValueError."""
 
     n: int
     values: dict[Partition, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        for v in self.values.values():
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"value must be an int or a Fraction, got {v!r}")
         vals = {rho: Fraction(v) for rho, v in self.values.items()}
         object.__setattr__(self, "values", vals)
         expected = set(partitions_of(self.n))
@@ -91,8 +95,9 @@ class ClassFunction:
 class SchurExpansion:
     """Mapping from partitions of n to GradedPoly coefficients.
 
-    Zero coefficients are never stored, so dict equality is semantic
-    equality of expansions.
+    An ``int`` coefficient is read as a constant; any other non-GradedPoly
+    raises ValueError.  Zero coefficients are never stored, so dict equality
+    is semantic equality of expansions.
     """
 
     __slots__ = ("n", "_coeffs")
@@ -105,6 +110,8 @@ class SchurExpansion:
                 raise ValueError(f"shape {lam.parts} is not a partition of {n}")
             if isinstance(poly, int):
                 poly = GradedPoly.const(poly)
+            elif not isinstance(poly, GradedPoly):
+                raise ValueError(f"coefficient must be a GradedPoly or an int, got {poly!r}")
             if poly:
                 clean[lam] = poly
         self._coeffs = clean

@@ -6,7 +6,7 @@ import pytest
 
 from spanrep.cache import cache_get, cache_key, cache_put
 from spanrep.cli import main
-from spanrep.formula import grfrob_tableaux
+from spanrep.formula import FORMULA_MAX_N, grfrob_tableaux
 from spanrep.serialize import SCHEMA_VERSION, degree_table_to_json, envelope_bytes, make_envelope
 
 
@@ -93,6 +93,16 @@ def test_frobenius_oracle_guard(capsys):
     code, _, err = run_cli(capsys, "frobenius", "8", "2", "--source", "oracle")
     assert code == 4
     assert "scale guard" in err
+
+
+@pytest.mark.parametrize("source", ["formula", "both"])
+def test_frobenius_formula_guard(capsys, source):
+    n = FORMULA_MAX_N + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "frobenius", str(n), "1", "--source", source)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == f"scale guard: formula table limited to n <= {FORMULA_MAX_N}, got n={n}\n"
 
 
 def test_frobenius_oracle_guard_by_piece_size(capsys):
@@ -362,6 +372,51 @@ def test_verify_cache_accepts_good_entry(capsys, tmp_path):
     )
     assert code == 0
     assert "does not match" not in err
+
+
+def _bump_first_coeff(payload):
+    # the same coefficient in both tables, so the entry stays printable
+    for rows in payload["sources"].values():
+        ((exps, coeff),) = rows[0]["coeff"]
+        rows[0]["coeff"] = [[exps, str(int(coeff) + 1)]]
+
+
+def test_cache_entry_walks_through_every_state(capsys, tmp_path):
+    argv = ("frobenius", "3", "2", "--source", "both", "--cache-dir", str(tmp_path))
+    mismatch = "warning: cache entry does not match recomputation\n"
+    corrupt = "warning: corrupt cache entry, recomputing\n"
+
+    def tamper(edit):
+        entry = next(tmp_path.glob("*.json"))
+        env = json.loads(entry.read_bytes())
+        edit(env["payload"])
+        entry.write_bytes(envelope_bytes(env))
+
+    # (edit before the run, extra flags, stderr, whether the entry is rewritten)
+    steps = [
+        (None, (), "", True),
+        (None, (), "", False),
+        (None, ("--verify-cache",), "", False),
+        (_bump_first_coeff, ("--verify-cache",), mismatch, True),
+        (lambda p: p.update(n=99), (), corrupt, True),
+    ]
+    outs = []
+    for edit, flags, want_err, rewritten in steps:
+        if edit is not None:
+            tamper(edit)
+        entries = list(tmp_path.glob("*.json"))
+        before = entries[0].read_bytes() if entries else None
+        code, out, err = run_cli(capsys, *argv, *flags)
+        after = next(tmp_path.glob("*.json")).read_bytes()
+        assert (code, err) == (0, want_err)
+        outs.append(out)
+        cold = json_out(outs[0])["payload"]
+        assert json_out(out)["payload"] == cold
+        assert (after != before) is rewritten
+        assert json.loads(after)["payload"] == cold
+    # hits, verified or not, print the stored envelope, timestamp included
+    assert outs[1] == outs[2] == outs[0]
+    assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 # -- stability ------------------------------------------------------------

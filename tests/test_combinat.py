@@ -1,5 +1,6 @@
 import pytest
 from collections import Counter
+from fractions import Fraction
 from hypothesis import given, strategies as st
 from math import comb, factorial
 
@@ -346,6 +347,12 @@ def test_graded_poly_basics():
 def test_graded_poly_rejects_negative_exponents():
     with pytest.raises(ValueError):
         GradedPoly({(-1, 0, 0): 1})
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, Fraction(1, 2), Fraction(2), "1"])
+def test_graded_poly_refuses_inexact_coefficients(coeff):
+    with pytest.raises(ValueError, match="must be an int"):
+        GradedPoly({(0, 0, 0): coeff})
 
 
 def test_graded_poly_reverse_guard():

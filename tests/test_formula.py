@@ -1,11 +1,14 @@
+import time
+
 import pytest
 from math import factorial
 
 import reference
-from spanrep import combinat
+from spanrep import combinat, formula
 from spanrep.combinat import GradedPoly, Partition, pad, partitions_of
-from spanrep.errors import PaddingError
+from spanrep.errors import PaddingError, ScaleGuardError
 from spanrep.formula import (
+    FORMULA_MAX_N,
     Elementary,
     FixedCodim,
     FixedK,
@@ -76,6 +79,22 @@ def test_grfrob_validates_range():
         grfrob_tableaux(2, 3)
     with pytest.raises(ValueError):
         grfrob_tableaux(3, 0)
+
+
+def test_grfrob_refuses_beyond_its_bound_before_any_work(monkeypatch):
+    # the unguarded table at n = FORMULA_MAX_N + 1 takes seconds and
+    # hundreds of MB; the refusal reads no partition
+    def no_work(*args, **kwargs):
+        raise AssertionError("the formula started work")
+
+    monkeypatch.setattr(formula, "partitions_of", no_work)
+    start = time.perf_counter()
+    with pytest.raises(ScaleGuardError, match=f"n <= {FORMULA_MAX_N}"):
+        grfrob_tableaux(FORMULA_MAX_N + 1, 1)
+    assert time.perf_counter() - start < 1.0
+    # an out-of-range k stays a usage error at any n
+    with pytest.raises(ValueError):
+        grfrob_tableaux(FORMULA_MAX_N + 1, FORMULA_MAX_N + 2)
 
 
 def test_grfrob_full_flag_dimension_and_sign():

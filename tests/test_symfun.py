@@ -80,6 +80,26 @@ def test_class_function_requires_every_cycle_type():
         ClassFunction(3, {Partition((3,)): Fraction(1)})
 
 
+@pytest.mark.parametrize("value", [1.0, "1", 0.5])
+def test_class_function_refuses_inexact_values(value):
+    values = {rho: Fraction(1) for rho in partitions_of(3)}
+    values[Partition((2, 1))] = value
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        ClassFunction(3, values)
+    # exact values of either type are kept as Fractions
+    values[Partition((2, 1))] = 1
+    assert ClassFunction(3, values).value(Partition((2, 1))) == Fraction(1)
+
+
+@pytest.mark.parametrize("coeff", [0.5, Fraction(1, 2), "1"])
+def test_schur_expansion_refuses_non_polynomial_coefficients(coeff):
+    with pytest.raises(ValueError, match="must be a GradedPoly or an int"):
+        SchurExpansion(2, {Partition((2,)): coeff})
+    assert SchurExpansion(2, {Partition((2,)): 3}) == SchurExpansion(
+        2, {Partition((2,)): GradedPoly.const(3)}
+    )
+
+
 # -- schur_decompose -------------------------------------------------------
 
 
