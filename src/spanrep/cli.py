@@ -32,6 +32,7 @@ from .serialize import (
     degree_table_to_json,
     envelope_bytes,
     expansion_to_json,
+    int_from_json,
     make_envelope,
     partition_from_json,
     payloads_equal,
@@ -72,10 +73,6 @@ def _emit_json(envelope: dict) -> None:
     print(json.dumps(envelope, sort_keys=True, indent=2))
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(ENV_CACHE_DIR)
-
-
 # -- frobenius ----------------------------------------------------------
 
 
@@ -94,15 +91,16 @@ def _table_diff(sources: dict) -> list[dict]:
 
 
 def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> dict:
+    # the oracle side first: a request it refuses builds no formula table
     sources: dict[str, list] = {}
+    if source in ("oracle", "both"):
+        dec = decompose_coinvariants(n, k, max_degree=max_degree)
+        sources["oracle"] = degree_table_to_json(dec.by_degree)
     if source in ("formula", "both"):
         table = grfrob_tableaux(n, k).by_degree
         if max_degree is not None:
             table = {d: exp for d, exp in table.items() if d <= max_degree}
         sources["formula"] = degree_table_to_json(table)
-    if source in ("oracle", "both"):
-        dec = decompose_coinvariants(n, k, max_degree=max_degree)
-        sources["oracle"] = degree_table_to_json(dec.by_degree)
     return {
         "kind": "frobenius_table",
         "n": n,
@@ -121,30 +119,30 @@ def _printable_frobenius(payload, params: dict) -> bool:
     (degree ascending, then shapes lex-descending, so no row repeats); and
     the diff those tables give."""
     n, top = params["n"], params["max_degree"]
-    header = {"kind": "frobenius_table", "n": n, "k": params["k"], "max_degree": top}
-    if not isinstance(payload, dict) or any(payload.get(f) != v for f, v in header.items()):
-        return False
-    sources = payload.get("sources")
     names = {"formula", "oracle"} if params["source"] == "both" else {params["source"]}
-    if not isinstance(sources, dict) or set(sources) != names:
-        return False
     bound = math.inf if top is None else top
-    try:
+    try:  # a payload or sources that is not a dict fails with AttributeError or TypeError
+        sources = payload["sources"]
+        if set(sources) != names:
+            return False
         for rows in sources.values():
             last = None
             for row in rows:
                 shape = partition_from_json(row["shape"])
                 # shapes of one size are never prefixes of one another, so
                 # negated parts sort lex-descending shapes ascending
-                key = (row["degree"], [-part for part in shape.parts])
+                key = (int_from_json(row["degree"]), [-part for part in shape.parts])
                 if not 0 <= key[0] <= bound or shape.size != n or (last and key <= last):
                     return False
                 coeff = poly_from_json(row["coeff"])
                 if not coeff.is_constant() or coeff.coefficient() < 1:
                     return False
                 last = key
-        return payload.get("diff") == _table_diff(sources)
-    except (KeyError, TypeError, ValueError):
+        got = [payload.get(f) for f in ("kind", "n", "k", "max_degree", "diff")]
+        want = ["frobenius_table", n, params["k"], top, _table_diff(sources)]
+        # compared as JSON text, where 2.0 and true differ from 2 and 1
+        return json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    except (AttributeError, KeyError, TypeError, ValueError):
         return False
 
 
@@ -153,7 +151,7 @@ def cmd_frobenius(args) -> int:
     if args.max_degree is not None and args.max_degree < 0:
         raise ValueError(f"need --max-degree >= 0, got {args.max_degree}")
     params = {"n": n, "k": k, "source": args.source, "max_degree": args.max_degree}
-    cache_dir = _cache_dir(args)
+    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
     key = cache_key("frobenius", params)
     envelope = None
     if cache_dir is not None:

@@ -40,11 +40,12 @@ oracle's characters on within-batch invariants are means of such traces
 over the within-batch group (:func:`grassmann_quotient`), so no invariant
 is formed and nothing is reduced modulo the ideal.
 
-Scale guards: the line and d-plane oracles refuse n > 7 (lines, or
+Scale guards: one admission check (:func:`_check_commuting`), asked before
+any work, serves the line and d-plane oracles; it refuses n > 7 (lines, or
 batches of d: both read characters of S_n) and any request whose largest
-piece A_d has more than COMMUTING_MAX_PIECE monomials (counted before any
-work, the count stopping once it passes that budget), and superspace
-quotients refuse n > 5.  These fail loudly rather than thrash.
+piece A_d has more than COMMUTING_MAX_PIECE monomials (counted, the count
+stopping once it passes that budget).  `frobenius --source both` asks it
+before the formula builds its table.  Superspace quotients refuse n > 5.
 """
 
 from __future__ import annotations
@@ -97,11 +98,6 @@ COMMUTING_MAX_PIECE = 10_000
 SUPER_QUOTIENT_MAX_N = 5
 
 Poly = dict  # exponent tuple -> int coefficient
-
-
-def _guard(cond: bool, message: str) -> None:
-    if not cond:
-        raise ScaleGuardError(message)
 
 
 @cache
@@ -280,9 +276,7 @@ def _line_piece(n: int, k: int, deg: int) -> tuple[EchelonBasis, list[tuple[int,
     slot = _reading.piece
     if slot is not None and slot[0] == (n, k, deg):
         return slot[1:]
-    if deg < 0:
-        raise ValueError("degree must be nonnegative")
-    _check_commuting(n, k, deg)
+    _check_commuting(1, n, k, deg)
     _, piece, standard = next(islice(_ideal_pieces(1, n, k), deg, None), (deg, EchelonBasis(), []))
     return piece, standard
 
@@ -338,23 +332,26 @@ def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
         if grown == sizes or (largest := max(grown)) > COMMUTING_MAX_PIECE:
             break
         sizes = grown
-    _guard(
-        largest <= COMMUTING_MAX_PIECE,
-        f"oracle limited to pieces of at most {COMMUTING_MAX_PIECE} monomials,"
-        f" got at least {largest} over {nvars} variables with exponents below {k}",
-    )
+    if largest > COMMUTING_MAX_PIECE:
+        raise ScaleGuardError(
+            f"oracle limited to pieces of at most {COMMUTING_MAX_PIECE} monomials,"
+            f" got at least {largest} over {nvars} variables with exponents below {k}"
+        )
 
 
-def _check_commuting(n: int, k: int, top_degree: int | None) -> None:
-    """Validate (n, k) and refuse work beyond the guards before any is done.
-
-    top_degree is the highest degree piece the request will span (None
-    for all of them).
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    _guard(n <= COMMUTING_MAX_N, f"commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
-    _check_pieces(n, k, top_degree)
+def _check_commuting(d: int, n: int, k: int, top_degree: int | None) -> None:
+    """The one admission check of the line (d = 1) and d-plane oracles,
+    before any work: ValueError unless 1 <= d <= k <= d*n and top_degree,
+    the highest degree the request spans (None for all), is nonnegative;
+    then ScaleGuardError for n > COMMUTING_MAX_N or a piece over budget."""
+    if not 1 <= d <= k <= d * n:
+        need = "1 <= k <= n, got" if d == 1 else f"1 <= d <= k <= d*n, got d={d},"
+        raise ValueError(f"need {need} n={n}, k={k}")
+    if top_degree is not None and top_degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {top_degree}")
+    if n > COMMUTING_MAX_N:
+        raise ScaleGuardError(f"commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
+    _check_pieces(d * n, k, top_degree)
 
 
 def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
@@ -387,9 +384,7 @@ def decompose_coinvariants(n: int, k: int, max_degree: int | None = None) -> Gra
     pieces vanish too.  `max_degree` stops the walk early, which keeps
     large-n probes affordable when only low degrees are needed.
     """
-    if max_degree is not None and max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    _check_commuting(n, k, max_degree)
+    _check_commuting(1, n, k, max_degree)
     by_degree: dict[int, SchurExpansion] = {}
     try:
         for d, piece, standard in _ideal_pieces(1, n, k):
@@ -430,10 +425,10 @@ def _check_multidegree(alpha: tuple[int, ...], beta: tuple[int, ...]) -> None:
 def _check_super_quotient(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _guard(
-        n <= SUPER_QUOTIENT_MAX_N,
-        f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}",
-    )
+    if n > SUPER_QUOTIENT_MAX_N:
+        raise ScaleGuardError(
+            f"superspace quotients limited to n <= {SUPER_QUOTIENT_MAX_N}, got n={n}"
+        )
 
 
 def _signed_fixed_trace(
@@ -471,7 +466,8 @@ def decompose_superspace(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) 
     off the cycle type (:func:`_signed_fixed_trace`).
     """
     _check_multidegree(alpha, beta)
-    _guard(n <= COMMUTING_MAX_N, f"superspace pieces limited to n <= {COMMUTING_MAX_N}, got n={n}")
+    if n > COMMUTING_MAX_N:
+        raise ScaleGuardError(f"superspace pieces limited to n <= {COMMUTING_MAX_N}, got n={n}")
     return schur_from_traces(n, lambda rho: _signed_fixed_trace(rho.parts, alpha, beta))
 
 
@@ -723,11 +719,7 @@ def grassmann_quotient(d: int, n: int, k: int) -> GradedFrobenius:
     and weighted by its size.  A mean that is not an integer is no
     character value, and raises RuntimeError.
     """
-    if not 1 <= d <= k <= d * n:
-        raise ValueError(f"need 1 <= d <= k <= d*n, got d={d}, n={n}, k={k}")
-    nvars = d * n
-    _guard(n <= COMMUTING_MAX_N, f"d-plane oracle limited to n <= {COMMUTING_MAX_N}, got n={n}")
-    _check_pieces(nvars, k, None)
+    _check_commuting(d, n, k, None)
     classes = [(perm_of_type(mu, d), factorial(d) // z_lambda(mu)) for mu in partitions_of(d)]
 
     by_degree: dict[int, SchurExpansion] = {}

@@ -5,7 +5,7 @@ integers, graded polynomials are sorted lists of [[q, t, z], coefficient]
 pairs with coefficients carried as decimal strings (they can exceed any
 fixed-width integer), and envelopes serialize with sorted keys so equal
 payloads are byte-identical.  Timestamps live only in provenance, which
-comparisons ignore.
+comparisons ignore.  Decoders accept only what the encoders write.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "envelope_from_bytes",
     "expansion_from_json",
     "expansion_to_json",
+    "int_from_json",
     "make_envelope",
     "partition_from_json",
     "partition_to_json",
@@ -47,15 +48,22 @@ def poly_to_json(poly: GradedPoly) -> list:
 
 
 def poly_from_json(data: list) -> GradedPoly:
-    """Inverse of :func:`poly_to_json`; a coefficient that is not a decimal
-    string raises ValueError."""
-    return GradedPoly({tuple(exps): int(_decimal(c)) for exps, c in data})
+    """Inverse of :func:`poly_to_json`."""
+    return GradedPoly({tuple(map(int_from_json, exps)): _exact(int, c) for exps, c in data})
 
 
-def _decimal(text) -> str:
-    if not isinstance(text, str):
-        raise ValueError(f"coefficient must be a decimal string, got {text!r}")
-    return text
+def int_from_json(value) -> int:
+    """value, when it is a JSON integer: not a float or boolean equal to one."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _exact(kind, text):
+    """kind(text), when text is the decimal string str writes for it."""
+    if not isinstance(text, str) or str(value := kind(text)) != text:
+        raise ValueError(f"coefficient must be a decimal string as written, got {text!r}")
+    return value
 
 
 def partition_to_json(lam: Partition) -> list[int]:
@@ -63,7 +71,7 @@ def partition_to_json(lam: Partition) -> list[int]:
 
 
 def partition_from_json(data: list) -> Partition:
-    return Partition(tuple(int(x) for x in data))
+    return Partition(tuple(map(int_from_json, data)))
 
 
 def expansion_to_json(exp: SchurExpansion) -> dict:
@@ -78,7 +86,7 @@ def expansion_to_json(exp: SchurExpansion) -> dict:
 
 def expansion_from_json(data: dict) -> SchurExpansion:
     return SchurExpansion(
-        int(data["n"]),
+        int_from_json(data["n"]),
         {
             partition_from_json(term["shape"]): poly_from_json(term["coeff"])
             for term in data["terms"]
@@ -100,7 +108,7 @@ def degree_table_to_json(by_degree: dict[int, SchurExpansion]) -> list:
 def degree_table_from_json(rows: list, n: int) -> dict[int, SchurExpansion]:
     acc: dict[int, dict[Partition, GradedPoly]] = {}
     for row in rows:
-        s = int(row["degree"])
+        s = int_from_json(row["degree"])
         acc.setdefault(s, {})[partition_from_json(row["shape"])] = poly_from_json(row["coeff"])
     return {s: SchurExpansion(n, coeffs) for s, coeffs in acc.items()}
 
@@ -131,16 +139,15 @@ def superpoly_to_json(poly: SuperPoly) -> dict:
 
 
 def superpoly_from_json(data: dict) -> SuperPoly:
-    """Inverse of :func:`superpoly_to_json`; a coefficient that is not a
-    string such as "3" or "-2/5" raises ValueError."""
+    """Inverse of :func:`superpoly_to_json`."""
     terms = {}
     for xs, thetas, coeff in data["terms"]:
         mono = SuperMonomial(
-            tuple(tuple(int(e) for e in b) for b in xs),
-            tuple(tuple(int(i) for i in b) for b in thetas),
+            tuple(tuple(map(int_from_json, b)) for b in xs),
+            tuple(tuple(map(int_from_json, b)) for b in thetas),
         )
-        terms[mono] = Fraction(_decimal(coeff))
-    return SuperPoly(int(data["n"]), int(data["m"]), int(data["p"]), terms)
+        terms[mono] = _exact(Fraction, coeff)
+    return SuperPoly(*(int_from_json(data[f]) for f in "nmp"), terms)
 
 
 def make_envelope(command: str, parameters: dict, payload: dict, source: str, version: str) -> dict:

@@ -7,6 +7,7 @@ import pytest
 from spanrep.cache import cache_get, cache_key, cache_put
 from spanrep.cli import main
 from spanrep.formula import FORMULA_MAX_N, grfrob_tableaux
+from spanrep.oracle import COMMUTING_MAX_N
 from spanrep.serialize import SCHEMA_VERSION, degree_table_to_json, envelope_bytes, make_envelope
 
 
@@ -95,14 +96,33 @@ def test_frobenius_oracle_guard(capsys):
     assert "scale guard" in err
 
 
-@pytest.mark.parametrize("source", ["formula", "both"])
-def test_frobenius_formula_guard(capsys, source):
+@pytest.mark.parametrize(
+    "source, limit",
+    [
+        ("formula", f"formula table limited to n <= {FORMULA_MAX_N}"),
+        # the oracle side is asked first, so its guard refuses
+        ("both", f"commuting oracle limited to n <= {COMMUTING_MAX_N}"),
+    ],
+    ids=["formula", "both"],
+)
+def test_frobenius_formula_guard(capsys, source, limit):
     n = FORMULA_MAX_N + 1
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "frobenius", str(n), "1", "--source", source)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (4, "")
-    assert err == f"scale guard: formula table limited to n <= {FORMULA_MAX_N}, got n={n}\n"
+    assert err == f"scale guard: {limit}, got n={n}\n"
+
+
+@pytest.mark.parametrize("n, k", [(8, 4), (14, 7), (20, 10)])
+def test_frobenius_both_is_refused_before_the_formula_table(capsys, n, k):
+    # the formula admits these, but the oracle refuses them before either
+    # table is built (the formula alone takes seconds at (20, 10))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "frobenius", str(n), str(k), "--source", "both")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
+    assert err == f"scale guard: commuting oracle limited to n <= {COMMUTING_MAX_N}, got n={n}\n"
 
 
 def test_frobenius_oracle_guard_by_piece_size(capsys):
@@ -365,6 +385,74 @@ def test_cache_entry_without_printed_fields_is_corrupt(capsys, tmp_path, flags, 
         assert json_out(out)["payload"] == json_out(fresh)["payload"]
 
 
+def _edit_rows(edit):
+    # the same edit to every row of every table, so the diff stays empty
+    return lambda p: _edit_tables(p, lambda rows: [edit(row) for row in rows])
+
+
+def _shape_part_as_float(row):
+    if row["shape"] == [2, 1]:
+        row["shape"] = [2.0, 1]
+
+
+def _repeated_shape_as_string(row):
+    # the second [2, 1] row of a table; str("[2, 1]") == str([2, 1])
+    if row["degree"] == 2 and row["shape"] == [2, 1]:
+        row["shape"] = "[2, 1]"
+
+
+def _degree_one_as(value):
+    def edit(row):
+        if row["degree"] == 1:
+            row["degree"] = value
+
+    return edit
+
+
+def _exponent_as_float(row):
+    ((exps, coeff),) = row["coeff"]
+    row["coeff"] = [[[0.0, *exps[1:]], coeff]]
+
+
+def _leading_zero(row):
+    ((exps, coeff),) = row["coeff"]
+    row["coeff"] = [[exps, "0" + coeff]]
+
+
+@pytest.mark.parametrize("flags", [(), ("--verify-cache",)], ids=["read", "verify"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_edit_rows(_leading_zero), id="coeff-01"),
+        pytest.param(_edit_rows(_shape_part_as_float), id="shape-part-2.0"),
+        pytest.param(_edit_rows(_repeated_shape_as_string), id="shape-string"),
+        pytest.param(_edit_rows(_degree_one_as(True)), id="degree-true"),
+        pytest.param(_edit_rows(_degree_one_as(1.0)), id="degree-1.0"),
+        pytest.param(_edit_rows(_exponent_as_float), id="exponent-0.0"),
+        pytest.param(lambda p: p.update(n=3.0), id="payload-n-3.0"),
+        pytest.param(lambda p: p.update(k=2.0), id="payload-k-2.0"),
+    ],
+)
+def test_cache_entry_with_json_the_encoders_never_write_is_corrupt(
+    capsys, tmp_path, edit, flags
+):
+    # each edit reads back equal under ==, as 2.0 == 2 and True == 1, or as
+    # int("01") == 1; it must still be reported, recomputed and rewritten
+    argv = ("frobenius", "3", "2", "--source", "both", "--cache-dir", str(tmp_path))
+    _, cold, _ = run_cli(capsys, *argv)
+    entry = next(tmp_path.glob("*.json"))
+    env = json.loads(entry.read_bytes())
+    edit(env["payload"])
+    tampered = envelope_bytes(env)
+    assert tampered != entry.read_bytes()
+    entry.write_bytes(tampered)
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert (code, err) == (0, "warning: corrupt cache entry, recomputing\n")
+    assert json_out(out)["payload"] == json_out(cold)["payload"]
+    assert entry.read_bytes() != tampered
+    assert json.loads(entry.read_bytes())["payload"] == json_out(cold)["payload"]
+
+
 def test_verify_cache_accepts_good_entry(capsys, tmp_path):
     run_cli(capsys, "frobenius", "2", "2", "--cache-dir", str(tmp_path))
     code, _, err = run_cli(
@@ -545,7 +633,7 @@ def test_explore_grassmann(capsys, tmp_path):
 # -- comparison-failure exits -------------------------------------------------
 
 
-def test_frobenius_mismatch_exits_one(capsys, monkeypatch):
+def test_frobenius_mismatch_exits_one(capsys, monkeypatch, tmp_path):
     # force the formula side wrong to exercise the diff contract
     import spanrep.cli as cli_mod
     from spanrep.combinat import GradedPoly, Partition
@@ -558,11 +646,14 @@ def test_frobenius_mismatch_exits_one(capsys, monkeypatch):
         )
 
     monkeypatch.setattr(cli_mod, "grfrob_tableaux", wrong_formula)
-    code, out, err = run_cli(capsys, "frobenius", "2", "2", "--source", "both")
+    argv = ("frobenius", "2", "2", "--source", "both", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
     diff = json_out(out)["payload"]["diff"]
     assert diff, "diff section must name the disagreeing entries"
     assert {"degree", "shape", "formula", "oracle"} <= set(diff[0])
+    # the stored entry, diff and all, is printable: a hit prints it as stored
+    assert run_cli(capsys, *argv) == (1, out, "error: formula/oracle tables disagree\n")
 
 
 def test_identity_failure_exits_one(capsys, monkeypatch):

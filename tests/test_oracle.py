@@ -245,16 +245,71 @@ def test_piece_sizes_are_counted_exactly():
 def test_oracle_piece_budget():
     for n in range(1, 7):
         for k in range(1, n + 1):
-            _check_commuting(n, k, None)  # every n <= 6 is admitted, (6,6) included
-    _check_commuting(7, 5, None)
+            _check_commuting(1, n, k, None)  # every n <= 6 is admitted, (6,6) included
+    _check_commuting(1, 7, 5, None)
     with pytest.raises(ScaleGuardError):
-        _check_commuting(7, 6, None)
+        _check_commuting(1, 7, 6, None)
+    _check_commuting(2, 4, 4, None)  # A_12 over 8 variables has 8,092 monomials
+    for (d, n, k), error, message in [
+        ((2, 4, 5), ScaleGuardError, "pieces of at most 10000 monomials, got at least 38165"),
+        ((2, 8, 2), ScaleGuardError, "n <= 7, got n=8"),
+        ((2, 1, 3), ValueError, "1 <= d <= k <= d[*]n"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(error, match=message):
+            _check_commuting(d, n, k, None)
+        assert time.perf_counter() - start < 1.0, (d, n, k)
     with pytest.raises(ScaleGuardError):
         decompose_coinvariants(7, 7)
     # a truncated request is judged by the pieces it spans
     low = decompose_coinvariants(7, 7, max_degree=2)
     formula = grfrob_tableaux(7, 7).by_degree
     assert all(low.by_degree[d] == formula[d] for d in range(3))
+
+
+@pytest.mark.parametrize(
+    "d, n, k, top, error, message",
+    [
+        (1, 2, 3, None, ValueError, "need 1 <= k <= n, got n=2, k=3"),
+        (3, 2, 2, None, ValueError, "need 1 <= d <= k <= d[*]n, got d=3, n=2, k=2"),
+        (1, 3, 2, -1, ValueError, "degree must be nonnegative"),
+        # the range comes before the degree, and the degree before n and the budget
+        (1, 9, 10, -1, ValueError, "1 <= k <= n"),
+        (1, 8, 2, -1, ValueError, "degree must be nonnegative"),
+        (2, 8, 5, -1, ValueError, "degree must be nonnegative"),
+        (1, 8, 8, None, ScaleGuardError, "n <= 7"),
+    ],
+)
+def test_admission_check_order(d, n, k, top, error, message):
+    with pytest.raises(error, match=message):
+        _check_commuting(d, n, k, top)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        pytest.param(lambda: quotient_basis(7, 6, 12), (1, 7, 6, 12), id="quotient_basis"),
+        pytest.param(
+            lambda: character_on_quotient(7, 6, 12, Partition((7,))), (1, 7, 6, 12), id="character"
+        ),
+        pytest.param(
+            lambda: decompose_coinvariants(7, 6, max_degree=3), (1, 7, 6, 3), id="decompose"
+        ),
+        pytest.param(lambda: grassmann_quotient(2, 4, 5), (2, 4, 5, None), id="grassmann"),
+    ],
+)
+def test_every_commuting_entry_point_asks_the_one_check(monkeypatch, call, args):
+    # each entry point asks the check once, with its own request, before any work
+    asked = []
+
+    def refuse(*request):
+        asked.append(request)
+        raise ScaleGuardError("refused")
+
+    monkeypatch.setattr(oracle, "_check_commuting", refuse)
+    with pytest.raises(ScaleGuardError, match="refused"):
+        call()
+    assert asked == [args]
 
 
 # -- free superspace pieces ---------------------------------------------------

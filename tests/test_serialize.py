@@ -15,6 +15,7 @@ from spanrep.serialize import (
     expansion_from_json,
     expansion_to_json,
     make_envelope,
+    partition_from_json,
     payloads_equal,
     poly_from_json,
     poly_to_json,
@@ -126,3 +127,26 @@ def test_coefficients_survive_as_strings():
 def test_coefficients_that_are_not_strings_are_rejected(coeff):
     with pytest.raises(ValueError, match="decimal string"):
         poly_from_json([[[0, 0, 0], coeff]])
+
+
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        (poly_from_json, [[[0, 0, 0], "01"]]),
+        (poly_from_json, [[[0, 0, 0], " 1"]]),
+        (poly_from_json, [[[0, 0, 0], "-0"]]),
+        (poly_from_json, [[[0.0, 0, 0], "1"]]),
+        (poly_from_json, [[[False, 0, 0], "1"]]),
+        (partition_from_json, [2.0, 1]),
+        (partition_from_json, [True]),
+        (partition_from_json, "21"),
+        (superpoly_from_json, {"n": 1, "m": 1, "p": 1, "terms": [[[[1]], [[]], "1.5"]]}),
+        (superpoly_from_json, {"n": 1, "m": 1, "p": 1, "terms": [[[[1]], [[]], "2/4"]]}),
+        (superpoly_from_json, {"n": 1.0, "m": 1, "p": 1, "terms": [[[[1]], [[]], "1"]]}),
+        (superpoly_from_json, {"n": 1, "m": 1, "p": 1, "terms": [[[[True]], [[]], "1"]]}),
+    ],
+)
+def test_decoders_accept_only_what_the_encoders_write(decode, data):
+    # each of these reads back equal under == or int() to what an encoder writes
+    with pytest.raises(ValueError):
+        decode(data)

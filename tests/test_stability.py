@@ -138,6 +138,21 @@ def test_onset_fails_on_late_onset():
     assert report.n_obs == 9
 
 
+def test_onset_inconclusive_with_a_short_tail():
+    # the bound is 4 at (mu, s, k) = ((), 1, 2) and the sequence reaches 6,
+    # but its last value starts at n = 5: one sample past the onset
+    values = ((1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 2))
+    report = detect_onset(MultiplicitySequence(Partition(), 1, FixedK(2), values))
+    assert (report.verdict, report.n_obs, report.stable_value) == (VERDICT_INCONCLUSIVE, 5, 2)
+    assert report.detail == "only 1 samples beyond the observed onset"
+
+
+def test_onset_refuses_values_not_contiguous_in_n():
+    values = tuple((n, 1) for n in (1, 2, 3, 5, 6, 7, 8))  # n = 4 is missing
+    with pytest.raises(ValueError, match="contiguous ascending in n"):
+        detect_onset(MultiplicitySequence(Partition(), 1, FixedK(2), values))
+
+
 # -- the proven bounds, swept -----------------------------------------------
 
 
