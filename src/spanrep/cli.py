@@ -8,8 +8,10 @@ unless a scale guard trips; they never gate anything.
 Each command has one path: a usage error, whether a command or the library
 finds it, is a raised ValueError that `main` alone prints as one `error:`
 line; `frobenius` computes and stores its table at one site, reached by a
-cache miss, a corrupt entry and `--verify-cache` alike; `superspace` builds
-one payload per mode and shares a single envelope and exit.
+cache miss, a corrupt entry and `--verify-cache` alike, and encodes its
+payload through one function, which also rebuilds a cached entry from its
+own tables to decide whether it may be served; `superspace` builds one
+payload per mode and shares a single envelope and exit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,14 +30,12 @@ from .errors import ScaleGuardError
 from .formula import FixedCodim, FixedK, grfrob_tableaux
 from .oracle import decompose_coinvariants, grassmann_quotient, super_coinvariant_table
 from .serialize import (
+    degree_table_from_json,
     degree_table_to_json,
     envelope_bytes,
     expansion_to_json,
-    int_from_json,
     make_envelope,
-    partition_from_json,
     payloads_equal,
-    poly_from_json,
     poly_to_json,
     schur_table_to_csv,
     superpoly_to_json,
@@ -90,17 +89,15 @@ def _table_diff(sources: dict) -> list[dict]:
     ]
 
 
-def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> dict:
-    # the oracle side first: a request it refuses builds no formula table
-    sources: dict[str, list] = {}
-    if source in ("oracle", "both"):
-        dec = decompose_coinvariants(n, k, max_degree=max_degree)
-        sources["oracle"] = degree_table_to_json(dec.by_degree)
-    if source in ("formula", "both"):
-        table = grfrob_tableaux(n, k).by_degree
-        if max_degree is not None:
-            table = {d: exp for d, exp in table.items() if d <= max_degree}
-        sources["formula"] = degree_table_to_json(table)
+def _frobenius_payload(n: int, k: int, max_degree: int | None, tables: dict) -> dict:
+    """The one encoding of a frobenius payload: each named {degree:
+    expansion} table cut at max_degree, its rows, and the diff they give."""
+    sources = {
+        name: degree_table_to_json(
+            {d: exp for d, exp in table.items() if max_degree is None or d <= max_degree}
+        )
+        for name, table in tables.items()
+    }
     return {
         "kind": "frobenius_table",
         "n": n,
@@ -112,37 +109,23 @@ def _frobenius_payload(n: int, k: int, source: str, max_degree: int | None) -> d
 
 
 def _printable_frobenius(payload, params: dict) -> bool:
-    """Whether a cached payload is one the request params prints: the
-    request's kind, n, k and max_degree; tables for exactly the sources it
-    names, each row a partition of n in a degree from 0 to max_degree with
-    a positive constant coefficient, in the order the command writes rows
-    (degree ascending, then shapes lex-descending, so no row repeats); and
-    the diff those tables give."""
-    n, top = params["n"], params["max_degree"]
-    names = {"formula", "oracle"} if params["source"] == "both" else {params["source"]}
-    bound = math.inf if top is None else top
-    try:  # a payload or sources that is not a dict fails with AttributeError or TypeError
-        sources = payload["sources"]
-        if set(sources) != names:
-            return False
-        for rows in sources.values():
-            last = None
-            for row in rows:
-                shape = partition_from_json(row["shape"])
-                # shapes of one size are never prefixes of one another, so
-                # negated parts sort lex-descending shapes ascending
-                key = (int_from_json(row["degree"]), [-part for part in shape.parts])
-                if not 0 <= key[0] <= bound or shape.size != n or (last and key <= last):
-                    return False
-                coeff = poly_from_json(row["coeff"])
-                if not coeff.is_constant() or coeff.coefficient() < 1:
-                    return False
-                last = key
-        got = [payload.get(f) for f in ("kind", "n", "k", "max_degree", "diff")]
-        want = ["frobenius_table", n, params["k"], top, _table_diff(sources)]
-        # compared as JSON text, where 2.0 and true differ from 2 and 1
-        return json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    except (AttributeError, KeyError, TypeError, ValueError):
+    """Whether a cached payload is one the request params prints: its
+    coefficients are positive constants, and the payload this version
+    writes from its own decoded tables, for exactly the sources params
+    names, is the stored one, compared as JSON text (where 2.0 and true
+    differ from 2 and 1)."""
+    n = params["n"]
+    names = ("formula", "oracle") if params["source"] == "both" else (params["source"],)
+    try:  # a missing field or a value of the wrong JSON type fails with KeyError or TypeError
+        tables = {name: degree_table_from_json(payload["sources"][name], n) for name in names}
+        rebuilt = _frobenius_payload(n, params["k"], params["max_degree"], tables)
+        return all(
+            poly.is_constant() and poly.coefficient() > 0
+            for table in tables.values()
+            for exp in table.values()
+            for _, poly in exp.items()
+        ) and json.dumps(rebuilt, sort_keys=True) == json.dumps(payload, sort_keys=True)
+    except (KeyError, TypeError, ValueError):
         return False
 
 
@@ -163,7 +146,13 @@ def cmd_frobenius(args) -> int:
     # a miss, a corrupt entry and --verify-cache all compute here; a verified
     # hit equal to its recomputation is still printed as read
     if envelope is None or args.verify_cache:
-        payload = _frobenius_payload(n, k, args.source, args.max_degree)
+        # the oracle side first: a request it refuses builds no formula table
+        tables = {}
+        if args.source in ("oracle", "both"):
+            tables["oracle"] = decompose_coinvariants(n, k, max_degree=args.max_degree).by_degree
+        if args.source in ("formula", "both"):
+            tables["formula"] = grfrob_tableaux(n, k).by_degree
+        payload = _frobenius_payload(n, k, args.max_degree, tables)
         fresh = make_envelope("frobenius", params, payload, args.source, __version__)
         if envelope is None or not payloads_equal(envelope, fresh):
             if envelope is not None:

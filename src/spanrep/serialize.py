@@ -108,7 +108,8 @@ def degree_table_to_json(by_degree: dict[int, SchurExpansion]) -> list:
 def degree_table_from_json(rows: list, n: int) -> dict[int, SchurExpansion]:
     acc: dict[int, dict[Partition, GradedPoly]] = {}
     for row in rows:
-        s = int_from_json(row["degree"])
+        if (s := int_from_json(row["degree"])) < 0:
+            raise ValueError(f"degree must be nonnegative, got {s}")
         acc.setdefault(s, {})[partition_from_json(row["shape"])] = poly_from_json(row["coeff"])
     return {s: SchurExpansion(n, coeffs) for s, coeffs in acc.items()}
 
@@ -173,7 +174,7 @@ def envelope_from_bytes(raw: bytes) -> dict:
     for field in ("schema_version", "command", "parameters", "payload", "provenance"):
         if field not in env:
             raise ValueError(f"envelope missing {field!r}")
-    if env["schema_version"] != SCHEMA_VERSION:
+    if int_from_json(env["schema_version"]) != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {env['schema_version']!r}")
     return env
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from spanrep.cache import cache_get, cache_key, cache_put
+from spanrep.cache import cache_get, cache_key, cache_put, write_atomic
 from spanrep.cli import main
 from spanrep.formula import FORMULA_MAX_N, grfrob_tableaux
 from spanrep.oracle import COMMUTING_MAX_N
@@ -243,6 +243,34 @@ def test_cache_entry_that_is_not_an_object_is_corrupt(tmp_path):
     assert cache_get(tmp_path, key) == ("corrupt", None)
 
 
+def test_failed_write_leaves_the_old_entry_and_no_temp_file(tmp_path, monkeypatch):
+    import spanrep.cache as cache_mod
+
+    path = tmp_path / "entry.json"
+    write_atomic(path, b"old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cache_mod.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_atomic(path, b"new\n")
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.glob(".tmp-*")) == []
+
+
+@pytest.mark.parametrize(
+    "field", ["schema_version", "command", "parameters", "payload", "provenance"]
+)
+def test_cache_entry_missing_an_envelope_field_is_corrupt(tmp_path, field):
+    params = {"n": 2, "k": 2, "source": "formula", "max_degree": None}
+    key = cache_key("frobenius", params)
+    env = make_envelope("frobenius", params, {}, "formula", "0.1.0")
+    del env[field]
+    (tmp_path / f"{key}.json").write_bytes(envelope_bytes(env))
+    assert cache_get(tmp_path, key) == ("corrupt", None)
+
+
 def test_frobenius_cold_cache_then_hit(capsys, tmp_path):
     code, out1, _ = run_cli(capsys, "frobenius", "3", "2", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -353,6 +381,11 @@ def _edit_tables(payload, edit):
         pytest.param((), lambda p: _append_row(p, 1, "-4"), id="negative-coeff"),
         pytest.param((), lambda p: _append_row(p, 1, "0"), id="zero-coeff"),
         pytest.param(
+            ("--source", "both"),
+            lambda p: _edit_tables(p, lambda rows: rows[0].update(coeff=[[[0, 0, 0], "-1"]])),
+            id="negative-coeff-in-order",
+        ),
+        pytest.param(
             (),
             lambda p: p["sources"]["formula"][0].update(coeff=[[[1, 0, 0], "1"]]),
             id="non-constant-coeff",
@@ -453,6 +486,50 @@ def test_cache_entry_with_json_the_encoders_never_write_is_corrupt(
     assert json.loads(entry.read_bytes())["payload"] == json_out(cold)["payload"]
 
 
+@pytest.mark.parametrize("flags", [(), ("--verify-cache",)], ids=["read", "verify"])
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+def test_cache_entry_with_a_schema_version_that_is_not_an_integer_is_corrupt(
+    capsys, tmp_path, version, flags
+):
+    # true == 1 and 1.0 == 1, but the encoders write the integer 1
+    argv = ("frobenius", "3", "2", "--source", "both", "--cache-dir", str(tmp_path))
+    _, cold, _ = run_cli(capsys, *argv)
+    entry = next(tmp_path.glob("*.json"))
+    env = json.loads(entry.read_bytes())
+    env["schema_version"] = version
+    tampered = envelope_bytes(env)
+    entry.write_bytes(tampered)
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert (code, err) == (0, "warning: corrupt cache entry, recomputing\n")
+    assert json_out(out)["payload"] == json_out(cold)["payload"]
+    assert entry.read_bytes() != tampered
+    for printed in (out, entry.read_bytes()):
+        version = json.loads(printed)["schema_version"]
+        assert (type(version), version) == (int, SCHEMA_VERSION)
+
+
+# every (n, k) the crosscheck benchmark workload asks for with --source both
+CROSSCHECK_PAIRS = [
+    (n, k) for n in range(1, 7) for k in range(1, n + 1) if (n, k) not in ((6, 5), (6, 6))
+] + [(7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *((str(n), str(k), "--source", "both") for n, k in CROSSCHECK_PAIRS),
+        *(("6", "3", "--source", "formula", "--max-degree", str(d)) for d in range(10)),
+    ],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_good_cache_entry_is_served(capsys, tmp_path, argv):
+    # a check that refused good entries would show only as recomputation
+    argv = ("frobenius", *argv, "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv) == (0, cold, "")
+
+
 def test_verify_cache_accepts_good_entry(capsys, tmp_path):
     run_cli(capsys, "frobenius", "2", "2", "--cache-dir", str(tmp_path))
     code, _, err = run_cli(
@@ -535,6 +612,20 @@ def test_stability_inconclusive(capsys):
     code, _, err = run_cli(capsys, "stability", "-", "1", "--fixed-k", "2", "--n-max", "5")
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_stability_fail_exits_one(capsys, monkeypatch):
+    import spanrep.stability as stability_mod
+
+    true_value = stability_mod.stable_multiplicity
+    monkeypatch.setattr(
+        stability_mod, "stable_multiplicity", lambda *args: true_value(*args) + 1
+    )
+    code, out, _ = run_cli(capsys, "stability", "-", "1", "--fixed-k", "2", "--n-max", "10")
+    assert code == 1
+    payload = json_out(out)["payload"]
+    assert payload["verdict"] == "fail"
+    assert payload["detail"] == "stable value 1 != closed-form value 2"
 
 
 def test_stability_partition_argument(capsys):

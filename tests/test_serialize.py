@@ -144,6 +144,10 @@ def test_coefficients_that_are_not_strings_are_rejected(coeff):
         (superpoly_from_json, {"n": 1, "m": 1, "p": 1, "terms": [[[[1]], [[]], "2/4"]]}),
         (superpoly_from_json, {"n": 1.0, "m": 1, "p": 1, "terms": [[[[1]], [[]], "1"]]}),
         (superpoly_from_json, {"n": 1, "m": 1, "p": 1, "terms": [[[[True]], [[]], "1"]]}),
+        (
+            lambda rows: degree_table_from_json(rows, 1),
+            [{"degree": -1, "shape": [1], "coeff": [[[0, 0, 0], "1"]]}],
+        ),
     ],
 )
 def test_decoders_accept_only_what_the_encoders_write(decode, data):
