@@ -47,7 +47,6 @@ from .stability import (
     multiplicity_sequence,
 )
 from .superspace import (
-    ClosureSpace,
     frobenius_of_closure,
     harmonic_closure,
     vandermonde_derivative_identity,
@@ -271,17 +270,11 @@ def _twist_candidates(exp: SchurExpansion, top: int) -> dict[str, SchurExpansion
 
 
 def _closure_z_slice(n: int, k: int) -> SchurExpansion:
-    """q-graded expansion of the theta-degree n - k slice of the closure.
-
-    By duality (:func:`frobenius_of_closure`) that slice is omega of the
-    theta-degree-0 slice, with x-degree a read as A - a, so only the
-    theta-degree-0 pieces are spanned and traced (for k = n, where theta
-    degree 0 is the middle one, only those with 2a >= A); the readout
-    fills in their duals.
-    """
+    """q-graded expansion of the theta-degree n - k slice of the closure,
+    read off the closure capped at theta-degree 0 (``theta_cap`` of
+    :func:`harmonic_closure`)."""
     capped = harmonic_closure(n, 1, 1, k, theta_cap=0)
-    low = {md: basis for md, basis in capped.spaces.items() if md[1] == (0,)}
-    tables = frobenius_of_closure(n, 1, 1, k, closure=ClosureSpace(n, 1, 1, k, low))
+    tables = frobenius_of_closure(n, 1, 1, k, closure=capped)
     slice_by_x = {alpha[0]: exp for (alpha, beta), exp in tables.items() if beta[0] == n - k}
     return q_graded(n, slice_by_x)
 

@@ -46,8 +46,8 @@ __all__ = [
 class GradedPoly:
     """Exact polynomial in the grading variables q, t, z.
 
-    Terms map exponent triples (q, t, z) to nonzero integer coefficients;
-    any other coefficient type raises ValueError.
+    Terms map exponent triples (q, t, z) of nonnegative ints to nonzero
+    int coefficients; any other type (a bool, a float) raises ValueError.
     Instances are immutable by convention: every operation returns a new
     polynomial, so results can be shared and memoized freely.
     """
@@ -58,9 +58,11 @@ class GradedPoly:
         clean: dict[tuple[int, int, int], int] = {}
         for exps, coeff in (terms or {}).items():
             qe, te, ze = exps
+            if not type(qe) is type(te) is type(ze) is int:
+                raise ValueError(f"exponents must be ints, got {exps!r}")
             if qe < 0 or te < 0 or ze < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise ValueError(f"coefficient must be an int, got {coeff!r}")
             if coeff:
                 clean[(qe, te, ze)] = coeff
@@ -92,7 +94,7 @@ class GradedPoly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:  # const refuses a bool, and == must not raise
             other = GradedPoly.const(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
@@ -186,8 +188,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
+        if any(type(p) is not int for p in parts):
+            raise ValueError(f"parts must be ints: {parts!r}")
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -298,8 +302,10 @@ class StandardTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
+        if any(type(v) is not int for row in rows for v in row):
+            raise ValueError(f"entries must be ints: {rows!r}")
         lengths = [len(r) for r in rows]
         if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)) or 0 in lengths:
             raise ValueError(f"row lengths must be a partition shape: {lengths}")

@@ -127,15 +127,10 @@ def schur_table_to_csv(rows: list) -> str:
 
 
 def superpoly_to_json(poly: SuperPoly) -> dict:
-    terms = []
-    for mono, c in poly.items():
-        if c.denominator == 1:
-            coeff = str(c.numerator)
-        else:
-            coeff = f"{c.numerator}/{c.denominator}"
-        terms.append(
-            [[list(b) for b in mono.xs], [list(b) for b in mono.thetas], coeff]
-        )
+    terms = [
+        [[list(b) for b in mono.xs], [list(b) for b in mono.thetas], str(c)]
+        for mono, c in poly.items()
+    ]
     return {"n": poly.n, "m": poly.m, "p": poly.p, "terms": terms}
 
 

@@ -14,7 +14,7 @@ sorting permutation.  Within a batch theta_i theta_j = -theta_j theta_i;
 generators of distinct anticommuting batches commute (plain tensor
 product), which never affects dimensions or symmetric-group characters.
 
-Coefficients are exact: ``int`` or ``Fraction`` (any other type raises
+Coefficients are exact: ``int`` or ``Fraction`` by type (a bool raises
 ValueError), and integers stay ``int`` throughout.  Every linear operator
 (derivatives, polarizations, permutations, products) is a monomial map,
 ``image(mono)`` giving (monomial, factor) pairs, applied to a coefficient
@@ -196,11 +196,13 @@ class SuperPoly:
                 raise ValueError("monomial batch arity does not match the ring")
             if any(len(b) != n for b in mono.xs):
                 raise ValueError("commuting batch has wrong length")
+            if any(type(i) is not int for b in mono.xs + mono.thetas for i in b):
+                raise ValueError(f"exponents and theta indices must be ints: {mono!r}")
             if any(e < 0 for b in mono.xs for e in b):
                 raise ValueError(f"negative exponent in {mono!r}")
             if not all(_increasing_below(t, n) for t in mono.thetas):
                 raise ValueError(f"theta indices must increase within 0..{n - 1}: {mono!r}")
-            if not isinstance(coeff, (int, Fraction)):
+            if type(coeff) not in (int, Fraction):
                 raise ValueError(f"coefficient must be an int or a Fraction, got {coeff!r}")
             if coeff:
                 clean[mono] = coeff
@@ -460,7 +462,9 @@ def polarization(src: int, dst: int, j: int = 1, *, kind: str = "x"):
 
 @dataclass(frozen=True)
 class ClosureSpace:
-    """Harmonic closure: per-multidegree echelon bases of the derivative span."""
+    """Harmonic closure: per-multidegree echelon bases of the derivative
+    span, each of rank >= 1, since :func:`harmonic_closure` creates a
+    piece only by inserting a nonzero vector into it."""
 
     n: int
     m: int
@@ -469,7 +473,7 @@ class ClosureSpace:
     spaces: dict[Multidegree, EchelonBasis]
 
     def dims(self) -> dict[Multidegree, int]:
-        return {md: basis.rank for md, basis in sorted(self.spaces.items()) if basis.rank}
+        return {md: basis.rank for md, basis in sorted(self.spaces.items())}
 
     def hilbert(self) -> GradedPoly:
         """Hilbert series (m = p = 1 only): q tracks x-degree, z theta-degree."""
@@ -704,7 +708,9 @@ def frobenius_of_closure(
     Where a piece and its dual are both spanned (the chain and its duals,
     the self-dual middle piece 2a = A, 2b = B, or every piece of a passed
     closure), the two tables are compared and a mismatch raises
-    ``RuntimeError``.
+    ``RuntimeError``.  The ``explore`` slices pass a closure capped at
+    ``theta_cap = 0``: its theta chain at x-degree A is traced too, and for
+    k < n its seed piece (A, B) is compared with omega of (0, 0).
 
     The rule is for m = p = 1 only.  Polarizations make the closure of
     more batches larger than R f, and then the pieces do not pair off: at
@@ -723,8 +729,6 @@ def frobenius_of_closure(
     permuters = {rho: permuter(perm_of_type(rho, n)) for rho in partitions_of(n)}
     out: dict[Multidegree, SchurExpansion] = {}
     for md, basis in sorted(closure.spaces.items()):
-        if not basis.rank:
-            continue
         out[md] = schur_from_traces(
             n, lambda rho: stable_trace(basis, lambda cols: map(permuters[rho], cols))
         )

@@ -95,8 +95,8 @@ class ClassFunction:
 class SchurExpansion:
     """Mapping from partitions of n to GradedPoly coefficients.
 
-    An ``int`` coefficient is read as a constant; any other non-GradedPoly
-    raises ValueError.  Zero coefficients are never stored, so dict equality
+    An ``int`` coefficient is read as a constant; any other non-GradedPoly,
+    a bool among them, raises ValueError.  Zero coefficients are never stored, so dict equality
     is semantic equality of expansions.
     """
 
@@ -108,7 +108,7 @@ class SchurExpansion:
         for lam, poly in (coeffs or {}).items():
             if lam.size != n:
                 raise ValueError(f"shape {lam.parts} is not a partition of {n}")
-            if isinstance(poly, int):
+            if type(poly) is int:
                 poly = GradedPoly.const(poly)
             elif not isinstance(poly, GradedPoly):
                 raise ValueError(f"coefficient must be a GradedPoly or an int, got {poly!r}")

@@ -85,6 +85,13 @@ def test_partition_rejects_bad_input():
         Partition((2, 0))
 
 
+@pytest.mark.parametrize("parts", [(2.5, 1), (2.0,), ("3",), (True,), (2, False)])
+def test_partition_refuses_parts_that_are_not_ints(parts):
+    # int() would read these as [2, 1], [2], [3], [1] and [2, 0]
+    with pytest.raises(ValueError, match="must be ints"):
+        Partition(parts)
+
+
 def test_conjugate_involution():
     for n in range(8):
         for lam in partitions_of(n):
@@ -148,6 +155,12 @@ def test_tableau_validation():
         StandardTableau(((2, 1),))  # row not increasing
     with pytest.raises(ValueError):
         StandardTableau(((1, 4), (2, 3)))  # column not increasing
+
+
+@pytest.mark.parametrize("rows", [((1.0,),), ((True,),), (("1", 2),), ((1, 2), (3.0,))])
+def test_tableau_refuses_entries_that_are_not_ints(rows):
+    with pytest.raises(ValueError, match="must be ints"):
+        StandardTableau(rows)
 
 
 def test_des_maj_worked_example():
@@ -349,10 +362,25 @@ def test_graded_poly_rejects_negative_exponents():
         GradedPoly({(-1, 0, 0): 1})
 
 
-@pytest.mark.parametrize("coeff", [0.5, 1.0, Fraction(1, 2), Fraction(2), "1"])
+@pytest.mark.parametrize("coeff", [0.5, 1.0, Fraction(1, 2), Fraction(2), "1", True])
 def test_graded_poly_refuses_inexact_coefficients(coeff):
     with pytest.raises(ValueError, match="must be an int"):
         GradedPoly({(0, 0, 0): coeff})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: GradedPoly({(2.0, 0, 0): 1}), id="float-q"),
+        pytest.param(lambda: GradedPoly({(0, 0.5, 0): 1}), id="half-t"),
+        pytest.param(lambda: GradedPoly({(0, 0, True): 1}), id="bool-z"),
+        pytest.param(lambda: GradedPoly.term(1, q=2.0), id="term-float-q"),
+    ],
+)
+def test_graded_poly_refuses_exponents_that_are_not_ints(make):
+    # poly_to_json would write them, and poly_from_json refuses them
+    with pytest.raises(ValueError, match="exponents must be ints"):
+        make()
 
 
 def test_graded_poly_reverse_guard():

@@ -89,11 +89,26 @@ def test_out_of_range_input_raises(make):
         make()
 
 
-@pytest.mark.parametrize("coeff", [0.1, 1.5, 2.0, "1/3", None])
+@pytest.mark.parametrize("coeff", [0.1, 1.5, 2.0, "1/3", None, True])
 def test_coefficients_that_are_not_exact_numbers_are_rejected(coeff):
     # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(ValueError, match="int or a Fraction"):
         SuperPoly(3, 1, 1, {SuperMonomial(((0, 0, 1),), ((),)): coeff})
+
+
+@pytest.mark.parametrize(
+    "xs, thetas",
+    [
+        (((0, 0, 1.0),), ((),)),
+        (((0, 0, True),), ((),)),
+        (((0, 0, 1),), ((True,),)),
+        (((0, 0, 1),), ((0.0,),)),
+    ],
+)
+def test_exponents_and_theta_indices_that_are_not_ints_are_rejected(xs, thetas):
+    # superpoly_to_json would write them, and superpoly_from_json refuses them
+    with pytest.raises(ValueError, match="must be ints"):
+        SuperPoly(3, 1, 1, {SuperMonomial(xs, thetas): 1})
 
 
 # -- the antisymmetrized seed ---------------------------------------------------

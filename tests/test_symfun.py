@@ -91,7 +91,7 @@ def test_class_function_refuses_inexact_values(value):
     assert ClassFunction(3, values).value(Partition((2, 1))) == Fraction(1)
 
 
-@pytest.mark.parametrize("coeff", [0.5, Fraction(1, 2), "1"])
+@pytest.mark.parametrize("coeff", [0.5, Fraction(1, 2), "1", True])
 def test_schur_expansion_refuses_non_polynomial_coefficients(coeff):
     with pytest.raises(ValueError, match="must be a GradedPoly or an int"):
         SchurExpansion(2, {Partition((2,)): coeff})
