@@ -2,8 +2,8 @@
 
 :class:`EchelonBasis` maintains a reduced row-echelon basis of a growing
 subspace.  Vectors are sparse mappings from column keys to ints or
-Fractions; keys only need to be hashable and mutually orderable (exponent
-tuples and super-monomials both qualify).  The pivot of a row is its
+Fractions; keys only need to be hashable and mutually orderable (monomial
+codes, exponent tuples and super-monomials all qualify).  The pivot of a row is its
 smallest key.
 
 Rows are stored fraction-free: each is a primitive integer vector (its

@@ -5,9 +5,15 @@ generated by the top k elementary symmetric polynomials of all variables
 and h_k, ..., h_{k-d+1} of each batch of d; lines are d = 1.  Every x_i^k
 lies in I, so the quotient is computed from the truncated ring
 A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
-k.  Its pieces are walked up by degree (:func:`_ideal_pieces`), each built
-from the two below it, which are all the walk holds; the walk hands each
-piece its standard monomials, and their number is the quotient dimension.
+k.  A column of a line or d-plane piece is keyed by the code of its
+monomial, the exponents read as the digits of a base-k number
+(:func:`_bounded_codes`): within one degree code order is the
+lexicographic order of the monomials, multiplying by x_j is one addition
+(:func:`_x_steps`), and a permutation of the variables maps codes through
+two digit tables (:func:`_code_image`).  The ideal's pieces are walked up
+by degree (:func:`_ideal_pieces`), each built from the two below it, which
+are all the walk holds; the walk hands each piece its standard monomials,
+and their number is the quotient dimension.
 A line decomposition reads each piece it walks, once per degree and cycle
 type, while the walk holds it; a standalone readout walks up to its own
 piece.  Each ideal piece, these and the superspace coinvariant ones alike,
@@ -63,7 +69,6 @@ from itertools import (
     repeat,
 )
 from math import factorial, prod
-from operator import itemgetter
 
 from .combinat import Partition, cycle_type, partitions_of, perm_of_type, z_lambda
 from .errors import ScaleGuardError
@@ -88,7 +93,8 @@ COMMUTING_MAX_N = 7
 # Largest truncated piece A_d the line and d-plane oracles will span, in
 # monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
 # up to k = 5 (8,135; `decompose_coinvariants(7, 5)`, the largest admitted
-# request, takes about 3 s and 65 MB max RSS on a 2-vCPU Xeon VM); it
+# request, takes about 1.2 s and 68 MB max RSS in process on a 2-vCPU Xeon
+# VM, and `spanrep frobenius 7 5 --source both` about 1.4 s and 72 MB); it
 # refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
 # (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
@@ -111,6 +117,22 @@ def _bounded_monomials(nvars: int, d: int, bound: int) -> tuple[tuple[int, ...],
         for rest in _bounded_monomials(nvars - 1, d - e, bound):
             out.append((e,) + rest)
     return tuple(out)
+
+
+@cache
+def _bounded_codes(nvars: int, d: int, k: int) -> tuple[int, ...]:
+    """Codes of the exponent vectors of total degree d with every entry
+    below k, ascending: m is coded as sum_i m_i k^(nvars-1-i), its entries
+    read as the digits of a base-k number, so code order is the
+    lexicographic order of :func:`_bounded_monomials`."""
+    if nvars == 0:
+        return (0,) if d == 0 else ()
+    top = k ** (nvars - 1)
+    return tuple(
+        e * top + rest
+        for e in range(min(d, k - 1) + 1)
+        for rest in _bounded_codes(nvars - 1, d - e, k)
+    )
 
 
 def monomials_of_degree(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -150,6 +172,19 @@ def complete_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
     return out
 
 
+def _encode(poly: Poly, k: int) -> dict[int, int]:
+    """poly's image in A = Q[x]/<x_i^k>, keyed by monomial codes
+    (:func:`_bounded_codes`): the terms with an exponent of k or more drop."""
+    out = {}
+    for m, c in poly.items():
+        if max(m) < k:
+            code = 0
+            for e in m:
+                code = code * k + e
+            out[code] = c
+    return out
+
+
 def _generators(d: int, n: int, k: int, deg: int) -> list[Poly]:
     """Degree-deg generators of the spanning d-plane ideal in d*n variables:
     e_deg of all variables when deg > d*n - k, and h_deg of each batch of d
@@ -161,29 +196,27 @@ def _generators(d: int, n: int, k: int, deg: int) -> list[Poly]:
     return gens
 
 
-def _span_piece(generators, multiples, dim: int) -> EchelonBasis:
-    """One ideal piece: the span of its generators and of degree-one
-    multiples of lower pieces, in a space of dim monomials.  The finished
-    basis keeps no insertion index.
+def _x_steps(nvars: int, k: int) -> list[tuple[int, int, int]]:
+    """(step, wrap, top) for each of nvars variables x_j, j ascending.  On
+    codes (:func:`_bounded_codes`) x_j * m is m + step with step =
+    k^(nvars-1-j), and it vanishes in A exactly when digit j of m is k - 1,
+    that is when m % wrap >= top, with wrap = k*step and top = (k-1)*step."""
+    return [(step, k * step, (k - 1) * step) for step in (k**i for i in reversed(range(nvars)))]
 
-    multiples yields (rows, times) pairs: primitive rows of a lower piece
-    (all or some of them), and one degree-one multiplier as a dict mapping
-    each monomial of that piece to its (product, sign), absent where the
-    product vanishes.
-    A monomial multiplier sends distinct monomials to distinct products,
-    so a row's image needs no accumulation.
+
+def _span_piece(vectors, dim: int) -> EchelonBasis:
+    """One ideal piece: the span of vectors, its generators and then
+    degree-one multiples of lower pieces, in a space of dim monomials.
+    Line and d-plane vectors are keyed by monomial codes
+    (:func:`_bounded_codes`), superspace ones by super-monomials.  The
+    finished basis keeps no insertion index.
 
     Spanning stops once the rank reaches dim: the piece is then the whole
     space, whose reduced echelon basis is the unit rows whatever else is
-    inserted, so the rest of multiples is never drawn.
+    inserted, so the rest of vectors is never drawn.
     """
     basis = EchelonBasis()
-    products = (
-        {t[0]: t[1] * c for m, c in row.items() if (t := times.get(m))}
-        for rows, times in multiples
-        for _, row in rows
-    )
-    for vec in chain(generators, products):
+    for vec in vectors:
         if vec and basis.insert(vec) and basis.rank == dim:
             break
     basis.release_index()
@@ -215,32 +248,29 @@ def _ideal_piece(
     x_j * q vanishes.  By induction over (key descending, j ascending)
     every skipped product lies in the span of the kept ones, so the piece,
     and its reduced echelon basis, is the same as with every product.
+
+    The keys are the monomials' codes (:func:`_bounded_codes`), whose order
+    within one degree is that of the monomials, and x_j multiplies them by
+    one addition (:func:`_x_steps`).  So par(p) is read as the i with
+    p - step_i in two_below's pivots.  That difference is the code of p/x_i
+    exactly when p_i > 0: otherwise the subtraction borrows, and each
+    borrow adds k - 1 to the digit sum deg - 2, or the difference is
+    negative, so it is the code of no monomial of two_below's degree.
     """
     nvars = d * n
-    gens = [{m: c for m, c in g.items() if max(m) < k} for g in _generators(d, n, k, deg)]
+    gens = [_encode(g, k) for g in _generators(d, n, k, deg)]
     rows = below.primitive_rows() if below is not None else []
+    steps = _x_steps(nvars, k)
 
-    def multiples():
-        if not rows:  # nothing to multiply: build no product table
-            return
-        upper = {m: (m, 1) for m in _bounded_monomials(nvars, deg, k)}
+    def products():
         old = set(two_below.pivots()) if two_below is not None else set()
-        parents = [
-            [i for i in range(nvars) if p[i] and p[:i] + (p[i] - 1,) + p[i + 1 :] in old]
-            for p, _ in rows
-        ]
-        for j in range(nvars):
-            kept = [
-                (p, row)
-                for (p, row), par in zip(rows, parents)
-                if not par or (par[0] >= j if p[j] < k - 1 else par == [j])
-            ]
-            support = {m for _, row in kept for m in row}
-            yield kept, {
-                m: t for m in support if (t := upper.get(m[:j] + (m[j] + 1,) + m[j + 1 :]))
-            }
+        parents = [[i for i, (step, _, _) in enumerate(steps) if p - step in old] for p, _ in rows]
+        for j, (step, wrap, top) in enumerate(steps):
+            for (p, row), par in zip(rows, parents):
+                if not par or (par[0] >= j if p % wrap < top else par == [j]):
+                    yield {m + step: c for m, c in row.items() if m % wrap < top}
 
-    return _span_piece(gens, multiples(), len(_bounded_monomials(nvars, deg, k)))
+    return _span_piece(chain(gens, products()), len(_bounded_codes(nvars, deg, k)))
 
 
 def _ideal_pieces(d: int, n: int, k: int):
@@ -248,12 +278,14 @@ def _ideal_pieces(d: int, n: int, k: int):
     deg ascending up to A's top degree d*n*(k - 1): each piece
     (:func:`_ideal_piece`) with its standard monomials, the monomials of
     A_deg that are not its pivots, a basis of the degree-deg quotient.
-    Only the two pieces that the next one reads are held."""
+    Columns, pivots and standard monomials are all monomial codes
+    (:func:`_bounded_codes`).  Only the two pieces that the next one reads
+    are held."""
     nvars = d * n
     below = ideal = None
     for deg in range(nvars * (k - 1) + 1):
         below, ideal = ideal, _ideal_piece(d, n, k, deg, ideal, below)
-        yield deg, ideal, ideal.non_pivots(_bounded_monomials(nvars, deg, k))
+        yield deg, ideal, ideal.non_pivots(_bounded_codes(nvars, deg, k))
 
 
 class _Reading(threading.local):
@@ -301,16 +333,51 @@ def _fixed_monomial_counts(cycles: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+@cache
+def _digit_table(weights: tuple[int, ...], k: int) -> list[int]:
+    """Entry v: the sum over t of digit t of v, read in base k with
+    len(weights) digits, the first most significant, times weights[t]."""
+    table = [0]
+    for weight in weights:
+        table = [t + e * weight for t in table for e in range(k)]
+    return table
+
+
+@cache
+def _code_image(w: tuple[int, ...], k: int):
+    """image(codes) for :func:`~spanrep.linalg.quotient_trace`: each code
+    (:func:`_bounded_codes`) of a monomial m over len(w) variables mapped
+    to the code of m read through w, (m_w[0], m_w[1], ...), with sign 1.
+
+    Digit w[i] of a code moves to digit i, so the image is a sum of one
+    weight per digit, read off two digit tables, one for the high digits
+    and one for the low, each keyed by its weights so that permutations
+    agreeing on them share it.  The identity needs no table.  A walk
+    traces each permutation once per degree, so the map is kept too."""
+    nvars = len(w)
+    if all(i == j for i, j in enumerate(w)):
+        return lambda codes: zip(codes, repeat(1))
+    weights = [0] * nvars
+    for i, j in enumerate(w):
+        weights[j] = k ** (nvars - 1 - i)
+    low = nvars // 2
+    base = k**low
+    hi = _digit_table(tuple(weights[: nvars - low]), k)
+    lo = _digit_table(tuple(weights[nvars - low :]), k)
+    return lambda codes: zip([hi[c // base] + lo[c % base] for c in codes], repeat(1))
+
+
 def _permuted_trace(piece: EchelonBasis, standard, w, cycles, k: int, deg: int) -> int:
     """Trace of the variable permutation w, of these cycle lengths, on the
-    quotient of A_deg by piece, whose standard monomials are standard.  A
-    permuted monomial's exponents are read through w directly (with one
-    variable, w is the identity and a one-index itemgetter would return a
-    scalar); the trace of w^{-1} is that of w."""
-    permute = itemgetter(*w) if len(w) > 1 else tuple
+    quotient of A_deg by piece, whose standard monomials are standard, both
+    keyed by codes.  A permuted monomial's exponents are read through w
+    (:func:`_code_image`), and an empty piece needs none: its quotient is
+    all of A_deg.  The trace of w^{-1} is that of w."""
     counts = _fixed_monomial_counts(cycles, k)
     whole = counts[deg] if deg < len(counts) else 0
-    return quotient_trace(piece, standard, lambda monos: zip(map(permute, monos), repeat(1)), whole)
+    if not piece.rank:  # nothing is divided out: no image is needed
+        return whole
+    return quotient_trace(piece, standard, _code_image(tuple(w), k), whole)
 
 
 def _check_pieces(nvars: int, k: int, top_degree: int | None) -> None:
@@ -356,7 +423,9 @@ def _check_commuting(d: int, n: int, k: int, top_degree: int | None) -> None:
 
 def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
     """Dimension of the degree-d quotient piece, the number of its standard
-    monomials, and the ideal piece of A_d in RREF.
+    monomials, and the ideal piece of A_d in RREF, its columns keyed by the
+    codes of their monomials (:func:`_bounded_codes`), not by exponent
+    tuples.
 
     A standalone read walks the ideal up from degree 0;
     :func:`decompose_coinvariants` reads every degree in one walk."""
@@ -612,7 +681,7 @@ def _super_ideal_basis(
 
     # The pieces two steps down read here lie one step below a piece in
     # below, so none of them is full.
-    def multiples():
+    def products():
         for i, piece in below:
             two_below = set(down(i, i).pivots())
             # rule 3: for an x batch, the pivots one x step and one theta step down
@@ -632,10 +701,13 @@ def _super_ideal_basis(
                 ]
                 support = {mono for _, row in kept for mono in row}
                 times = {mono: t for mono in support if (t := mono_mul(g, mono))[0] is not None}
-                yield kept, times
+                for _, row in kept:
+                    # g is a monomial: distinct monomials have distinct
+                    # products, so a row's image needs no accumulation
+                    yield {t[0]: t[1] * c for mono, c in row.items() if (t := times.get(mono))}
 
     dim = len(_multidegree_basis(n, alpha, beta))
-    basis = _span_piece(_invariant_basis(n, alpha, beta), multiples(), dim)
+    basis = _span_piece(chain(_invariant_basis(n, alpha, beta), products()), dim)
     pieces[alpha, beta] = None if basis.rank == dim else basis
     return pieces[alpha, beta]
 

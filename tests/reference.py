@@ -11,9 +11,14 @@
   oracle over the full polynomial ring Q[x], with x_i^k among the ideal
   generators and each degree-d ideal piece spanned by every generator
   times every monomial of the complementary degree.
+- :func:`encode` and :func:`decode`: the base-k codes that key the
+  columns of the line and d-plane oracles' pieces, computed digit by
+  digit, and :func:`decoded_rows`, a code-keyed piece's rows keyed by
+  exponent tuples again.
 - :func:`line_ideal_basis`: the line ideal's pieces in A = Q[x]/<x_i^k>,
-  chained through :func:`_ideal_step`, the step the library used before
-  lines, d-planes and superspace shared one span kernel.
+  keyed by exponent tuples and chained through :func:`_ideal_step`, the
+  step the library used before lines, d-planes and superspace shared one
+  span kernel and before their columns were coded.
 - :func:`invariant_basis`: the diagonal invariants of a multidegree
   piece, every super-monomial symmetrized over all n! permutations (so
   each orbit is summed once per member) and the sums row-reduced.
@@ -58,7 +63,8 @@
   theta sign.
 
 The first two share no code with the library beyond monomial enumeration,
-the symmetric polynomials and cycle-type representatives.  The line
+the symmetric polynomials and cycle-type representatives.  The codes
+share nothing with the library.  The line
 ideal shares the echelon basis and the generators, and keeps its own
 step.  The next three share the library's echelon basis, super-monomial
 enumeration and monomial products, permute by :func:`apply_perm`, and the quotient
@@ -90,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from spanrep.combinat import (
     GradedPoly,
@@ -323,6 +329,30 @@ def character_on_quotient(n: int, k: int, d: int, rho: Partition) -> int:
     return fixed - int(ideal_trace)
 
 
+def encode(mono: tuple, k: int) -> int:
+    """The code of an exponent vector with entries below k, as the line and
+    d-plane oracles key their pieces: the entries read as the digits of a
+    base-k number, the first most significant."""
+    return sum(e * k ** (len(mono) - 1 - i) for i, e in enumerate(mono))
+
+
+def decode(code: int, nvars: int, k: int) -> tuple:
+    """The exponent vector over nvars variables whose code is code."""
+    digits = []
+    for _ in range(nvars):
+        code, e = divmod(code, k)
+        digits.append(e)
+    return tuple(reversed(digits))
+
+
+def decoded_rows(basis: EchelonBasis, nvars: int, k: int) -> list:
+    """basis.primitive_rows() of a code-keyed piece, keyed by exponent vectors."""
+    return [
+        (decode(p, nvars, k), {decode(m, nvars, k): c for m, c in row.items()})
+        for p, row in basis.primitive_rows()
+    ]
+
+
 def _ideal_step(
     prev: EchelonBasis | None, generators: list[dict], nvars: int, d: int, bound: int
 ) -> EchelonBasis:
@@ -428,18 +458,19 @@ def super_ideal_step(n: int, alpha: tuple, beta: tuple) -> EchelonBasis:
         lower = tuple(a - b for a, b in zip(md, step))
         piece = super_ideal_step(n, lower[:m], lower[m:])
         if piece.rank == len(_multidegree_basis(n, lower[:m], lower[m:])):
-            return _span_piece([{mono: 1} for mono in monomials], (), len(monomials))
+            return _span_piece([{mono: 1} for mono in monomials], len(monomials))
         below.append((step, piece))
 
-    def multiples():
+    def products():
         for step, piece in below:
             rows = piece.primitive_rows()
             support = {mono for _, row in rows for mono in row}
             for g in _multidegree_basis(n, step[:m], step[m:]):
                 times = {mono: t for mono in support if (t := mono_mul(g, mono))[0] is not None}
-                yield rows, times
+                for _, row in rows:
+                    yield {t[0]: t[1] * c for mono, c in row.items() if (t := times.get(mono))}
 
-    return _span_piece(_invariant_basis(n, alpha, beta), multiples(), len(monomials))
+    return _span_piece(chain(_invariant_basis(n, alpha, beta), products()), len(monomials))
 
 
 def signed_fixed_trace(n: int, alpha: tuple, beta: tuple, w: tuple) -> int:

@@ -63,19 +63,13 @@ def trivial_expansion(n):
     return SchurExpansion(n, {Partition((n,)): GradedPoly.const(1)})
 
 
-@criterion(1, "oracle and tableau formula agree for n <= 5 (all degrees) and n = 6 (degrees <= 5)")
+@criterion(1, "oracle and tableau formula agree for n <= 6, every k and every degree")
 def test_criterion_01_oracle_formula_equivalence():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for k in range(1, n + 1):
             formula = grfrob_tableaux(n, k)
             oracle = decompose_coinvariants(n, k)
             assert oracle.by_degree == formula.by_degree, (n, k)
-    n = 6
-    for k in range(1, n + 1):
-        formula = grfrob_tableaux(n, k)
-        oracle = decompose_coinvariants(n, k, max_degree=5)
-        for s in range(6):
-            assert oracle.by_degree.get(s) == formula.by_degree.get(s), (n, k, s)
 
 
 @criterion(2, "flag-variety case: dim n!, graded regular representation, sign multiplicity 1")

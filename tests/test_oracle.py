@@ -16,9 +16,11 @@ from spanrep.errors import ScaleGuardError
 from spanrep.formula import grfrob_tableaux
 from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
+    COMMUTING_MAX_N,
     COMMUTING_MAX_PIECE,
     _check_commuting,
     _check_pieces,
+    _bounded_codes,
     _bounded_monomials,
     _fixed_monomial_counts,
     _ideal_piece,
@@ -27,6 +29,7 @@ from spanrep.oracle import (
     _multidegree_basis,
     _signed_fixed_trace,
     _super_ideal_basis,
+    _x_steps,
     character_on_quotient,
     complete_sym,
     decompose_coinvariants,
@@ -62,6 +65,99 @@ def test_monomials_of_degree_counts():
     for n in range(1, 6):
         for d in range(6):
             assert len(monomials_of_degree(n, d)) == comb(n + d - 1, n - 1)
+
+
+# -- monomial codes ------------------------------------------------------------
+
+
+def _reachable_spans():
+    """(nvars, k, top) for every (variable count, exponent bound) that a
+    line or d-plane request the oracle admits reaches, with the highest
+    degree it reaches: a line request up to its highest admitted degree, a
+    d-plane request over all degrees.  No admitted request has k >= 8,
+    and k >= d, so no batch size past those tried here is admitted."""
+    top = {}
+    for d in range(1, 9):
+        for n in range(1, COMMUTING_MAX_N + 1):
+            for k in range(d, d * n + 1):
+                nvars = d * n
+                degrees = range(nvars * (k - 1) + 1) if d == 1 else [None]
+                for deg in degrees:
+                    try:
+                        _check_commuting(d, n, k, deg)
+                    except ScaleGuardError:
+                        break
+                    reach = nvars * (k - 1) if deg is None else deg
+                    top[nvars, k] = max(top.get((nvars, k), -1), reach)
+    assert all(k < 8 for _, k in top)
+    return sorted((nvars, k, t) for (nvars, k), t in top.items())
+
+
+def test_bounded_codes_are_the_codes_of_the_bounded_monomials():
+    try:
+        for nvars, k, top in _reachable_spans():
+            for deg in range(top + 1):
+                want = tuple(reference.encode(m, k) for m in _bounded_monomials(nvars, deg, k))
+                assert _bounded_codes(nvars, deg, k) == want, (nvars, k, deg)
+                assert list(want) == sorted(want), (nvars, k, deg)
+    finally:  # the monomials of the largest spans hold tens of MB
+        _bounded_monomials.cache_clear()
+        _bounded_codes.cache_clear()
+
+
+def test_multiplying_codes_by_a_variable_is_one_addition():
+    for nvars in range(1, 6):
+        for k in range(1, 6):
+            for j, (step, wrap, top) in enumerate(_x_steps(nvars, k)):
+                for code in range(k**nvars):
+                    m = reference.decode(code, nvars, k)
+                    times = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                    want = reference.encode(times, k) if times[j] < k else None
+                    assert (code + step if code % wrap < top else None) == want, (nvars, k, j, m)
+
+
+def _codes_to_check(nvars, k, rng):
+    """(code, exponents) for every code over nvars variables with entries
+    below k when there are at most 256, else for every code with one
+    nonzero digit, the largest, and 100 drawn at random."""
+    if k**nvars <= 256:
+        codes = list(range(k**nvars))
+    else:
+        singles = [e * k**i for i in range(nvars) for e in range(1, k)]
+        codes = singles + [k**nvars - 1] + [rng.randrange(k**nvars) for _ in range(100)]
+    return [(c, reference.decode(c, nvars, k)) for c in codes]
+
+
+def _assert_code_image(w, k, checks):
+    want = [(reference.encode(tuple(m[i] for i in w), k), 1) for _, m in checks]
+    assert list(oracle._code_image(w, k)([c for c, _ in checks])) == want, (w, k)
+
+
+def test_code_image_permutes_exponents_for_every_permutation():
+    rng = random.Random(0)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            checks = _codes_to_check(n, k, rng)
+            for w in permutations(range(n)):
+                _assert_code_image(w, k, checks)
+
+
+def test_code_image_permutes_exponents_for_the_grassmann_batch_permutations(monkeypatch):
+    seen = set()
+    code_image = oracle._code_image
+
+    def recorded(w, k):
+        seen.add((tuple(w), k))
+        return code_image(w, k)
+
+    monkeypatch.setattr(oracle, "_code_image", recorded)
+    for k in range(2, 7):
+        grassmann_quotient(2, 3, k)
+    monkeypatch.undo()
+    assert {k for _, k in seen} == set(range(2, 7))
+    rng = random.Random(0)
+    for w, k in sorted(seen):
+        _assert_code_image(w, k, _codes_to_check(len(w), k, rng))
 
 
 # -- echelon basis ----------------------------------------------------------
@@ -123,11 +219,12 @@ def test_ideal_is_stable_under_generators():
                     w = perm_of_type(rho, n)
                     for _, row in basis.rows():
                         image = {}
-                        for mono, c in row.items():
+                        for code, c in row.items():
+                            mono = reference.decode(code, n, k)
                             moved = [0] * n
                             for i, e in enumerate(mono):
                                 moved[w[i]] = e  # exponent of x_{w(i)} is mono[i]
-                            key = tuple(moved)
+                            key = reference.encode(tuple(moved), k)
                             image[key] = image.get(key, Fraction(0)) + c
                         assert basis.contains(image), (n, k, d)
 
@@ -786,8 +883,10 @@ def test_line_ideal_pieces_match_step_by_step_reference():
         for k in range(1, n + 1):
             for deg, piece, standard in _ideal_pieces(1, n, k):
                 expected = reference.line_ideal_basis(n, k, deg)
-                assert piece.primitive_rows() == expected.primitive_rows(), (n, k, deg)
-                assert standard == expected.non_pivots(_bounded_monomials(n, deg, k)), (n, k, deg)
+                got = reference.decoded_rows(piece, n, k)
+                assert got == expected.primitive_rows(), (n, k, deg)
+                got = [reference.decode(code, n, k) for code in standard]
+                assert got == expected.non_pivots(_bounded_monomials(n, deg, k)), (n, k, deg)
             assert deg == n * (k - 1)
             # past A's top degree the piece is empty
             got = quotient_basis(n, k, deg + 1)[1].primitive_rows()
@@ -843,7 +942,8 @@ def test_standalone_line_readouts_match_the_decomposition(monkeypatch):
     for n, k, d in requests:
         dim, basis = quotient_basis(n, k, d)
         rows = basis.primitive_rows()
-        assert rows == reference.line_ideal_basis(n, k, d).primitive_rows(), (n, k, d)
+        got = reference.decoded_rows(basis, n, k)
+        assert got == reference.line_ideal_basis(n, k, d).primitive_rows(), (n, k, d)
         assert seen.get((n, k, d), (dim, rows)) == (dim, rows), (n, k, d)
         for rho in partitions_of(n):
             trace = character_on_quotient(n, k, d, rho)
@@ -909,23 +1009,42 @@ def test_d_plane_ideal_pieces_match_step_by_step_reference(d, n, k_max):
         for deg, piece in enumerate(_piece_chain(d, n, k)):
             gens = [g for g in reference._grassmann_generators(d, n, k) if sum(next(iter(g))) == deg]
             prev = reference._ideal_step(prev, gens, d * n, deg, k)
-            assert piece.primitive_rows() == prev.primitive_rows(), (d, n, k, deg)
+            assert reference.decoded_rows(piece, d * n, k) == prev.primitive_rows(), (d, n, k, deg)
+
+
+def _count_inserts(monkeypatch):
+    """Wrap EchelonBasis.insert; the returned dict counts calls and the
+    calls that grew a rank."""
+    counts = {"calls": 0, "rank": 0}
+    insert = EchelonBasis.insert
+
+    def counted(self, vec):
+        grew = insert(self, vec)
+        counts["calls"] += 1
+        counts["rank"] += grew
+        return grew
+
+    monkeypatch.setattr(EchelonBasis, "insert", counted)
+    return counts
 
 
 @pytest.mark.parametrize("n, k", [(6, 4), (5, 5)])
 def test_ideal_pieces_insert_little_beyond_their_rank(n, k, monkeypatch):
     # without the chain criterion (6,4) makes 12,456 products for rank 2,536
-    calls = 0
-    insert = EchelonBasis.insert
-
-    def counted(self, vec):
-        nonlocal calls
-        calls += 1
-        return insert(self, vec)
-
-    monkeypatch.setattr(EchelonBasis, "insert", counted)
+    counts = _count_inserts(monkeypatch)
     rank = sum(piece.rank for piece in _piece_chain(1, n, k))
-    assert rank <= calls <= 1.05 * rank, (calls, rank)
+    assert rank <= counts["calls"] <= 1.05 * rank, (counts, rank)
+
+
+def test_line_ideal_work_is_pinned(monkeypatch):
+    # the same inserts in the same order whatever keys the columns; these
+    # are the figures the README gives for (6,4)
+    counts = _count_inserts(monkeypatch)
+    decompose_coinvariants(6, 4)  # degrees 0 to 13, the first zero quotient
+    assert counts == {"calls": 2412, "rank": 2332}
+    counts.update(calls=0, rank=0)
+    assert sum(piece.rank for _, piece, _ in _ideal_pieces(1, 6, 4)) == 2536
+    assert counts == {"calls": 2616, "rank": 2536}
 
 
 def test_finished_ideal_pieces_keep_no_insertion_index():
