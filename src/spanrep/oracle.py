@@ -333,8 +333,7 @@ def _fixed_monomial_counts(cycles: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@cache
-def _digit_table(weights: tuple[int, ...], k: int) -> list[int]:
+def _digit_table(weights: list[int], k: int) -> list[int]:
     """Entry v: the sum over t of digit t of v, read in base k with
     len(weights) digits, the first most significant, times weights[t]."""
     table = [0]
@@ -351,19 +350,16 @@ def _code_image(w: tuple[int, ...], k: int):
 
     Digit w[i] of a code moves to digit i, so the image is a sum of one
     weight per digit, read off two digit tables, one for the high digits
-    and one for the low, each keyed by its weights so that permutations
-    agreeing on them share it.  The identity needs no table.  A walk
-    traces each permutation once per degree, so the map is kept too."""
+    and one for the low.  A walk traces each permutation once per degree,
+    so the map is kept."""
     nvars = len(w)
-    if all(i == j for i, j in enumerate(w)):
-        return lambda codes: zip(codes, repeat(1))
     weights = [0] * nvars
     for i, j in enumerate(w):
         weights[j] = k ** (nvars - 1 - i)
     low = nvars // 2
     base = k**low
-    hi = _digit_table(tuple(weights[: nvars - low]), k)
-    lo = _digit_table(tuple(weights[nvars - low :]), k)
+    hi = _digit_table(weights[: nvars - low], k)
+    lo = _digit_table(weights[nvars - low :], k)
     return lambda codes: zip([hi[c // base] + lo[c % base] for c in codes], repeat(1))
 
 
