@@ -9,12 +9,11 @@ an entry whose own command and parameters do not hash to its key.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 from pathlib import Path
 
-from .serialize import SCHEMA_VERSION, envelope_bytes, envelope_from_bytes
+from .serialize import SCHEMA_VERSION, canonical_json, envelope_bytes, envelope_from_bytes
 
 __all__ = ["cache_get", "cache_key", "cache_put", "write_atomic"]
 
@@ -26,17 +25,9 @@ _PAYLOAD_REVISION = 2
 
 
 def cache_key(command: str, parameters: dict) -> str:
-    canonical = json.dumps(
-        {
-            "command": command,
-            "parameters": parameters,
-            "schema_version": SCHEMA_VERSION,
-            "payload_revision": _PAYLOAD_REVISION,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    fields = {"command": command, "parameters": parameters, "schema_version": SCHEMA_VERSION,
+              "payload_revision": _PAYLOAD_REVISION}
+    return hashlib.sha256(canonical_json(fields).encode()).hexdigest()
 
 
 def _entry_path(cache_dir: str | Path, key: str) -> Path:

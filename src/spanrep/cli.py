@@ -11,14 +11,14 @@ line; `frobenius` computes and stores its table at one site, reached by a
 cache miss, a corrupt entry and `--verify-cache` alike, and encodes its
 payload through one function, which also rebuilds a cached entry from its
 own tables to decide whether it may be served; `superspace` builds one
-payload per mode and shares a single envelope and exit.
+payload per mode and shares a single envelope and exit.  Every envelope
+is printed as its `envelope_bytes`, the bytes of its cache entry or fixture.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -30,6 +30,7 @@ from .errors import ScaleGuardError
 from .formula import FixedCodim, FixedK, grfrob_tableaux
 from .oracle import decompose_coinvariants, grassmann_quotient, super_coinvariant_table
 from .serialize import (
+    canonical_json,
     degree_table_from_json,
     degree_table_to_json,
     envelope_bytes,
@@ -65,10 +66,6 @@ def _parse_partition(text: str) -> Partition:
     if text in ("", "-", "0"):
         return Partition()
     return Partition(tuple(int(x) for x in text.split(",")))
-
-
-def _emit_json(envelope: dict) -> None:
-    print(json.dumps(envelope, sort_keys=True, indent=2))
 
 
 # -- frobenius ----------------------------------------------------------
@@ -111,8 +108,8 @@ def _printable_frobenius(payload, params: dict) -> bool:
     """Whether a cached payload is one the request params prints: its
     coefficients are positive constants, and the payload this version
     writes from its own decoded tables, for exactly the sources params
-    names, is the stored one, compared as JSON text (where 2.0 and true
-    differ from 2 and 1)."""
+    names, is the stored one, compared as canonical JSON text (where 2.0
+    and true differ from 2 and 1)."""
     n = params["n"]
     names = ("formula", "oracle") if params["source"] == "both" else (params["source"],)
     try:  # a missing field or a value of the wrong JSON type fails with KeyError or TypeError
@@ -123,7 +120,7 @@ def _printable_frobenius(payload, params: dict) -> bool:
             for table in tables.values()
             for exp in table.values()
             for _, poly in exp.items()
-        ) and json.dumps(rebuilt, sort_keys=True) == json.dumps(payload, sort_keys=True)
+        ) and canonical_json(rebuilt) == canonical_json(payload)
     except (KeyError, TypeError, ValueError):
         return False
 
@@ -152,7 +149,7 @@ def cmd_frobenius(args) -> int:
         if args.source in ("formula", "both"):
             tables["formula"] = grfrob_tableaux(n, k).by_degree
         payload = _frobenius_payload(n, k, args.max_degree, tables)
-        fresh = make_envelope("frobenius", params, payload, args.source, __version__)
+        fresh = make_envelope("frobenius", params, payload, args.source)
         if envelope is None or not payloads_equal(envelope, fresh):
             if envelope is not None:
                 print("warning: cache entry does not match recomputation", file=sys.stderr)
@@ -160,7 +157,7 @@ def cmd_frobenius(args) -> int:
             if cache_dir is not None:
                 cache_put(cache_dir, key, envelope)
     if args.format == "json":
-        _emit_json(envelope)
+        sys.stdout.write(envelope_bytes(envelope).decode())
     else:
         for source_name, rows in sorted(envelope["payload"]["sources"].items()):
             if len(envelope["payload"]["sources"]) > 1:
@@ -201,7 +198,8 @@ def cmd_stability(args) -> int:
         "n_max": args.n_max,
         "source": args.source,
     }
-    _emit_json(make_envelope("stability", params, payload, args.source, __version__))
+    envelope = make_envelope("stability", params, payload, args.source)
+    sys.stdout.write(envelope_bytes(envelope).decode())
     if report.verdict == VERDICT_PASS:
         return EXIT_OK
     if report.verdict == VERDICT_FAIL:
@@ -248,7 +246,8 @@ def cmd_superspace(args) -> int:
         ]
         payload = {"kind": "closure_frobenius", "n": n, "k": k, "entries": entries}
     params = {"n": n, "k": k, "mode": mode}
-    _emit_json(make_envelope("superspace", params, payload, "superspace", __version__))
+    envelope = make_envelope("superspace", params, payload, "superspace")
+    sys.stdout.write(envelope_bytes(envelope).decode())
     # only the identity check can fail
     return EXIT_OK if payload.get("equal", True) else EXIT_MISMATCH
 
@@ -349,11 +348,11 @@ def cmd_explore(args) -> int:
     else:
         payload = _explore_grassmann(args.d, args.n, args.k)
         params = {"problem": "grassmann", "d": args.d, "n": args.n, "k": args.k}
-    envelope = make_envelope("explore", params, payload, "experiment", __version__)
+    data = envelope_bytes(make_envelope("explore", params, payload, "experiment"))
     name = "-".join(f"{key}{value}" for key, value in sorted(params.items()))
     path = Path(args.fixtures_dir) / f"{name}.json"
-    write_atomic(path, envelope_bytes(envelope))
-    _emit_json(envelope)
+    write_atomic(path, data)
+    sys.stdout.write(data.decode())
     print(f"fixture written to {path}", file=sys.stderr)
     return EXIT_OK
 

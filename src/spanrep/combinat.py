@@ -122,7 +122,7 @@ class GradedPoly:
         return self + (-other)
 
     def __mul__(self, other: "GradedPoly | int") -> "GradedPoly":
-        if isinstance(other, int):
+        if type(other) is int:  # a bool factor, like a float, is refused
             return GradedPoly({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, GradedPoly):
             return NotImplemented

@@ -3,8 +3,9 @@
 The JSON schema is versioned and deterministic: partitions are arrays of
 integers, graded polynomials are sorted lists of [[q, t, z], coefficient]
 pairs with coefficients carried as decimal strings (they can exceed any
-fixed-width integer), and envelopes serialize with sorted keys so equal
-payloads are byte-identical.  Timestamps live only in provenance, which
+fixed-width integer).  Every JSON text is :func:`canonical_json`'s (sorted
+keys, no whitespace); stdout, cache entries and fixtures are all
+:func:`envelope_bytes`.  Timestamps live only in provenance, which
 comparisons ignore.  Decoders accept only what the encoders write.
 """
 
@@ -16,6 +17,7 @@ import json
 from datetime import datetime, timezone
 from fractions import Fraction
 
+from . import __version__
 from .combinat import GradedPoly, Partition
 from .superspace import SuperMonomial, SuperPoly
 from .symfun import SchurExpansion
@@ -24,6 +26,7 @@ SCHEMA_VERSION = 1
 
 __all__ = [
     "SCHEMA_VERSION",
+    "canonical_json",
     "degree_table_from_json",
     "degree_table_to_json",
     "envelope_bytes",
@@ -146,7 +149,7 @@ def superpoly_from_json(data: dict) -> SuperPoly:
     return SuperPoly(*(int_from_json(data[f]) for f in "nmp"), terms)
 
 
-def make_envelope(command: str, parameters: dict, payload: dict, source: str, version: str) -> dict:
+def make_envelope(command: str, parameters: dict, payload: dict, source: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -154,14 +157,19 @@ def make_envelope(command: str, parameters: dict, payload: dict, source: str, ve
         "payload": payload,
         "provenance": {
             "source": source,
-            "library_version": version,
+            "library_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     }
 
 
+def canonical_json(obj) -> str:
+    """The JSON text of obj: keys sorted, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def envelope_bytes(envelope: dict) -> bytes:
-    return (json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return (canonical_json(envelope) + "\n").encode()
 
 
 def envelope_from_bytes(raw: bytes) -> dict:

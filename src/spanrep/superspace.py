@@ -276,7 +276,7 @@ class SuperPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):  # a bool factor, like a float, is refused
             return self._like(_linear_image(self._terms, lambda mono: ((mono, other),)))
         if not isinstance(other, SuperPoly):
             return NotImplemented

@@ -221,12 +221,21 @@ def test_reused_parser_answers_as_a_fresh_one(capsys):
 
 
 def test_cache_put_get_round_trip(tmp_path):
-    env = make_envelope("frobenius", {"n": 3, "k": 2}, {"kind": "t", "rows": []}, "oracle", "0.1.0")
+    env = make_envelope("frobenius", {"n": 3, "k": 2}, {"kind": "t", "rows": []}, "oracle")
     key = cache_key("frobenius", {"n": 3, "k": 2})
     cache_put(tmp_path, key, env)
     status, got = cache_get(tmp_path, key)
     assert status == "hit"
     assert got == env
+
+
+def test_cache_key_is_unchanged():
+    # the key hashes the shared canonical JSON text, so that moving the key
+    # onto it leaves every entry written before the move reachable
+    params = {"n": 5, "k": 3, "source": "both", "max_degree": None}
+    assert cache_key("frobenius", params) == (
+        "adaae694641cc608a2c8b952840a40526c3206371609bc06341e18c84ebc1e6a"
+    )
 
 
 def test_cache_miss_and_corrupt(tmp_path):
@@ -265,7 +274,7 @@ def test_failed_write_leaves_the_old_entry_and_no_temp_file(tmp_path, monkeypatc
 def test_cache_entry_missing_an_envelope_field_is_corrupt(tmp_path, field):
     params = {"n": 2, "k": 2, "source": "formula", "max_degree": None}
     key = cache_key("frobenius", params)
-    env = make_envelope("frobenius", params, {}, "formula", "0.1.0")
+    env = make_envelope("frobenius", params, {}, "formula")
     del env[field]
     (tmp_path / f"{key}.json").write_bytes(envelope_bytes(env))
     assert cache_get(tmp_path, key) == ("corrupt", None)
@@ -320,7 +329,7 @@ def test_cache_entry_from_before_the_formula_cut_is_not_served(capsys, tmp_path)
     uncut = degree_table_to_json(grfrob_tableaux(3, 2).by_degree)
     payload = {"kind": "frobenius_table", "n": 3, "k": 2, "max_degree": 1,
                "sources": {"formula": uncut}, "diff": []}
-    cache_put(tmp_path, old_key, make_envelope("frobenius", params, payload, "formula", "0.1.0"))
+    cache_put(tmp_path, old_key, make_envelope("frobenius", params, payload, "formula"))
     code, out, _ = run_cli(
         capsys, "frobenius", "3", "2", "--max-degree", "1", "--source", "formula",
         "--cache-dir", str(tmp_path),
@@ -530,6 +539,43 @@ def test_good_cache_entry_is_served(capsys, tmp_path, argv):
     assert run_cli(capsys, *argv) == (0, cold, "")
 
 
+def test_frobenius_prints_the_bytes_of_its_cache_entry(capsys, tmp_path):
+    argv = ("frobenius", "3", "2", "--source", "both", "--cache-dir", str(tmp_path))
+    _, cold, _ = run_cli(capsys, *argv)
+    entry = next(tmp_path.glob("*.json")).read_bytes()
+    assert cold.encode() == envelope_bytes(json_out(cold)) == entry
+    # a hit, read or verified, prints the entry as stored
+    for flags in ((), ("--verify-cache",)):
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert (code, err) == (0, "")
+        assert out.encode() == envelope_bytes(json_out(out)) == entry
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "-", "1", "--fixed-k", "2", "--n-max", "10"],
+        ["superspace", "3", "2", "--check-identity"],
+        ["superspace", "2", "2", "--closure"],
+        ["superspace", "2", "1", "--frobenius"],
+        ["explore", "--problem", "rw-twist", "--n", "2"],
+        ["explore", "--problem", "zabrocki-t0", "--n", "2"],
+        ["explore", "--problem", "grassmann", "--d", "2", "--n", "2", "--k", "2"],
+    ],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_stdout_is_the_canonical_envelope(capsys, tmp_path, argv):
+    if argv[0] == "explore":
+        argv = [*argv, "--fixtures-dir", str(tmp_path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == envelope_bytes(json_out(out))
+    # explore writes the printed bytes to its fixture
+    assert [path.read_bytes() for path in tmp_path.iterdir()] == (
+        [out.encode()] if argv[0] == "explore" else []
+    )
+
+
 def test_verify_cache_accepts_good_entry(capsys, tmp_path):
     run_cli(capsys, "frobenius", "2", "2", "--cache-dir", str(tmp_path))
     code, _, err = run_cli(
@@ -579,6 +625,8 @@ def test_cache_entry_walks_through_every_state(capsys, tmp_path):
         assert json_out(out)["payload"] == cold
         assert (after != before) is rewritten
         assert json.loads(after)["payload"] == cold
+        # the entry holds the bytes the run that wrote it printed
+        assert after == out.encode()
     # hits, verified or not, print the stored envelope, timestamp included
     assert outs[1] == outs[2] == outs[0]
     assert len(list(tmp_path.glob("*.json"))) == 1
@@ -708,7 +756,7 @@ def test_explore_fixture_is_written_whole(capsys, tmp_path):
     )
     assert code == 0
     (fixture,) = tmp_path.iterdir()  # the only file: no temp file left behind
-    assert fixture.read_bytes() == envelope_bytes(json_out(out))
+    assert fixture.read_bytes() == out.encode()
 
 
 def test_explore_grassmann(capsys, tmp_path):

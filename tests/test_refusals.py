@@ -89,6 +89,18 @@ from spanrep.symfun import SchurExpansion, expansion_character
             "not an evaluable",
             id="delta-spec",
         ),
+        # a scalar factor is an exact number by type, as a coefficient is:
+        # True == 1, but it is refused like 2.0
+        *(
+            pytest.param(call, TypeError, "unsupported operand", id=f"{name}-{factor!r}")
+            for factor in (True, False, 2.0)
+            for name, call in (
+                ("poly-times", lambda f=factor: GradedPoly.term(3, q=1) * f),
+                ("times-poly", lambda f=factor: f * GradedPoly.term(3, q=1)),
+                ("superpoly-times", lambda f=factor: superspace_vandermonde(2, 1) * f),
+                ("times-superpoly", lambda f=factor: f * superspace_vandermonde(2, 1)),
+            )
+        ),
     ],
 )
 def test_out_of_range_calls_are_refused(call, error, message):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spanrep import __version__
 from spanrep.combinat import GradedPoly, partitions_of
 from spanrep.serialize import (
+    canonical_json,
     degree_table_from_json,
     degree_table_to_json,
     envelope_bytes,
@@ -75,15 +77,23 @@ def test_superpoly_coefficients_that_are_not_strings_are_rejected(coeff):
 
 
 def test_envelope_round_trip_bytes():
-    env = make_envelope("frobenius", {"n": 3, "k": 2}, {"kind": "x", "rows": [1, 2]}, "formula", "0.1.0")
+    env = make_envelope("frobenius", {"n": 3, "k": 2}, {"kind": "x", "rows": [1, 2]}, "formula")
+    assert env["provenance"]["library_version"] == __version__
     raw = envelope_bytes(env)
     assert envelope_from_bytes(raw) == env
     # byte-determinism: serializing the parsed envelope reproduces the bytes
     assert envelope_bytes(envelope_from_bytes(raw)) == raw
+    assert raw == canonical_json(env).encode() + b"\n"
+
+
+def test_canonical_json_sorts_keys_and_writes_no_whitespace():
+    assert canonical_json({"b": [1, None], "a": {"d": "x y", "c": True}}) == (
+        '{"a":{"c":true,"d":"x y"},"b":[1,null]}'
+    )
 
 
 def test_envelope_rejects_bad_schema():
-    env = make_envelope("x", {}, {}, "formula", "0.1.0")
+    env = make_envelope("x", {}, {}, "formula")
     env["schema_version"] = 99
     try:
         envelope_from_bytes(envelope_bytes(env))
@@ -94,8 +104,8 @@ def test_envelope_rejects_bad_schema():
 
 
 def test_payloads_equal_ignores_timestamp():
-    a = make_envelope("cmd", {"n": 1}, {"v": 1}, "formula", "0.1.0")
-    b = make_envelope("cmd", {"n": 1}, {"v": 1}, "formula", "0.1.0")
+    a = make_envelope("cmd", {"n": 1}, {"v": 1}, "formula")
+    b = make_envelope("cmd", {"n": 1}, {"v": 1}, "formula")
     b["provenance"]["timestamp"] = "1970-01-01T00:00:00+00:00"
     assert payloads_equal(a, b)
     b["payload"] = {"v": 2}
