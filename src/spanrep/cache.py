@@ -13,7 +13,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .serialize import SCHEMA_VERSION, canonical_json, envelope_bytes, envelope_from_bytes
+from .serialize import SCHEMA_VERSION, canonical_json, envelope_from_bytes
 
 __all__ = ["cache_get", "cache_key", "cache_put", "write_atomic"]
 
@@ -49,9 +49,10 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def cache_put(cache_dir: str | Path, key: str, envelope: dict) -> Path:
+def cache_put(cache_dir: str | Path, key: str, data: bytes) -> Path:
+    """Store data, an envelope's `envelope_bytes`, as the entry for key."""
     path = _entry_path(cache_dir, key)
-    write_atomic(path, envelope_bytes(envelope))
+    write_atomic(path, data)
     return path
 
 

@@ -132,7 +132,7 @@ def cmd_frobenius(args) -> int:
     params = {"n": n, "k": k, "source": args.source, "max_degree": args.max_degree}
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
     key = cache_key("frobenius", params)
-    envelope = None
+    envelope = data = None  # data: the envelope's bytes, once encoded
     if cache_dir is not None:
         status, envelope = cache_get(cache_dir, key)
         if status == "hit" and not _printable_frobenius(envelope["payload"], params):
@@ -155,9 +155,10 @@ def cmd_frobenius(args) -> int:
                 print("warning: cache entry does not match recomputation", file=sys.stderr)
             envelope = fresh
             if cache_dir is not None:
-                cache_put(cache_dir, key, envelope)
+                data = envelope_bytes(envelope)
+                cache_put(cache_dir, key, data)
     if args.format == "json":
-        sys.stdout.write(envelope_bytes(envelope).decode())
+        sys.stdout.write((data or envelope_bytes(envelope)).decode())
     else:
         for source_name, rows in sorted(envelope["payload"]["sources"].items()):
             if len(envelope["payload"]["sources"]) > 1:

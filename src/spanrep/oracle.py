@@ -6,14 +6,14 @@ and h_k, ..., h_{k-d+1} of each batch of d; lines are d = 1.  Every x_i^k
 lies in I, so the quotient is computed from the truncated ring
 A = Q[x]/<x_i^k>, whose basis is the monomials with every exponent below
 k.  A column of a line or d-plane piece is keyed by the code of its
-monomial, the exponents read as the digits of a base-k number
-(:func:`_bounded_codes`): within one degree code order is the
+monomial m over nvars variables, sum_i m_i k^(nvars-1-i), the exponents
+read as the digits of a base-k number: within one degree code order is the
 lexicographic order of the monomials, multiplying by x_j is one addition
 (:func:`_x_steps`), and a permutation of the variables maps codes through
 two digit tables (:func:`_code_image`).  The ideal's pieces are walked up
 by degree (:func:`_ideal_pieces`), each built from the two below it, which
 are all the walk holds; the walk hands each piece its standard monomials,
-and their number is the quotient dimension.
+read off the degree below, and their number is the quotient dimension.
 A line decomposition reads each piece it walks, once per degree and cycle
 type, while the walk holds it; a standalone readout walks up to its own
 piece.  Each ideal piece, these and the superspace coinvariant ones alike,
@@ -93,8 +93,8 @@ COMMUTING_MAX_N = 7
 # Largest truncated piece A_d the line and d-plane oracles will span, in
 # monomials.  For lines it admits every n <= 6, (6,6) at 4,332, and n = 7
 # up to k = 5 (8,135; `decompose_coinvariants(7, 5)`, the largest admitted
-# request, takes about 1.2 s and 68 MB max RSS in process on a 2-vCPU Xeon
-# VM, and `spanrep frobenius 7 5 --source both` about 1.4 s and 72 MB); it
+# request, takes about 1.5 s and 66 MB max RSS in process on a 2-vCPU Xeon
+# VM, and `spanrep frobenius 7 5 --source both` about 1.8 s and 71 MB); it
 # refuses (7,6) at 24,017 and (7,7) at 60,691.  For d-planes it admits
 # (2,4,4) at 8,092 and refuses (2,4,5) at 38,165.
 COMMUTING_MAX_PIECE = 10_000
@@ -107,39 +107,15 @@ Poly = dict  # exponent tuple -> int coefficient
 
 
 @cache
-def _bounded_monomials(nvars: int, d: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples of total degree d with every exponent below bound,
-    lexicographically ascending."""
-    if nvars == 0:
-        return ((),) if d == 0 else ()
-    out = []
-    for e in range(min(d, bound - 1) + 1):
-        for rest in _bounded_monomials(nvars - 1, d - e, bound):
-            out.append((e,) + rest)
-    return tuple(out)
-
-
-@cache
-def _bounded_codes(nvars: int, d: int, k: int) -> tuple[int, ...]:
-    """Codes of the exponent vectors of total degree d with every entry
-    below k, ascending: m is coded as sum_i m_i k^(nvars-1-i), its entries
-    read as the digits of a base-k number, so code order is the
-    lexicographic order of :func:`_bounded_monomials`."""
-    if nvars == 0:
-        return (0,) if d == 0 else ()
-    top = k ** (nvars - 1)
-    return tuple(
-        e * top + rest
-        for e in range(min(d, k - 1) + 1)
-        for rest in _bounded_codes(nvars - 1, d - e, k)
-    )
-
-
 def monomials_of_degree(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of total degree d, lexicographically ascending."""
     if nvars < 0:
         raise ValueError("n must be nonnegative")
-    return _bounded_monomials(nvars, d, d + 1)
+    if nvars == 0:
+        return ((),) if d == 0 else ()
+    return tuple(
+        (e,) + rest for e in range(d + 1) for rest in monomials_of_degree(nvars - 1, d - e)
+    )
 
 
 def elementary_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
@@ -173,8 +149,8 @@ def complete_sym(d: int, indices: tuple[int, ...], nvars: int) -> Poly:
 
 
 def _encode(poly: Poly, k: int) -> dict[int, int]:
-    """poly's image in A = Q[x]/<x_i^k>, keyed by monomial codes
-    (:func:`_bounded_codes`): the terms with an exponent of k or more drop."""
+    """poly's image in A = Q[x]/<x_i^k>, keyed by monomial codes: the terms
+    with an exponent of k or more drop."""
     out = {}
     for m, c in poly.items():
         if max(m) < k:
@@ -198,18 +174,17 @@ def _generators(d: int, n: int, k: int, deg: int) -> list[Poly]:
 
 def _x_steps(nvars: int, k: int) -> list[tuple[int, int, int]]:
     """(step, wrap, top) for each of nvars variables x_j, j ascending.  On
-    codes (:func:`_bounded_codes`) x_j * m is m + step with step =
-    k^(nvars-1-j), and it vanishes in A exactly when digit j of m is k - 1,
-    that is when m % wrap >= top, with wrap = k*step and top = (k-1)*step."""
+    codes x_j * m is m + step with step = k^(nvars-1-j), and it vanishes in
+    A exactly when digit j of m is k - 1, that is when m % wrap >= top,
+    with wrap = k*step and top = (k-1)*step."""
     return [(step, k * step, (k - 1) * step) for step in (k**i for i in reversed(range(nvars)))]
 
 
 def _span_piece(vectors, dim: int) -> EchelonBasis:
     """One ideal piece: the span of vectors, its generators and then
     degree-one multiples of lower pieces, in a space of dim monomials.
-    Line and d-plane vectors are keyed by monomial codes
-    (:func:`_bounded_codes`), superspace ones by super-monomials.  The
-    finished basis keeps no insertion index.
+    Line and d-plane vectors are keyed by monomial codes, superspace ones
+    by super-monomials.  The finished basis keeps no insertion index.
 
     Spanning stops once the rank reaches dim: the piece is then the whole
     space, whose reduced echelon basis is the unit rows whatever else is
@@ -249,13 +224,13 @@ def _ideal_piece(
     every skipped product lies in the span of the kept ones, so the piece,
     and its reduced echelon basis, is the same as with every product.
 
-    The keys are the monomials' codes (:func:`_bounded_codes`), whose order
-    within one degree is that of the monomials, and x_j multiplies them by
-    one addition (:func:`_x_steps`).  So par(p) is read as the i with
-    p - step_i in two_below's pivots.  That difference is the code of p/x_i
-    exactly when p_i > 0: otherwise the subtraction borrows, and each
-    borrow adds k - 1 to the digit sum deg - 2, or the difference is
-    negative, so it is the code of no monomial of two_below's degree.
+    The keys are the monomials' codes, whose order within one degree is
+    that of the monomials, and x_j multiplies them by one addition
+    (:func:`_x_steps`).  So par(p) is read as the i with p - step_i in
+    two_below's pivots.  That difference is the code of p/x_i exactly when
+    p_i > 0: otherwise the subtraction borrows, and each borrow adds k - 1
+    to the digit sum deg - 2, or the difference is negative, so it is the
+    code of no monomial of two_below's degree.
     """
     nvars = d * n
     gens = [_encode(g, k) for g in _generators(d, n, k, deg)]
@@ -270,7 +245,8 @@ def _ideal_piece(
                 if not par or (par[0] >= j if p % wrap < top else par == [j]):
                     yield {m + step: c for m, c in row.items() if m % wrap < top}
 
-    return _span_piece(chain(gens, products()), len(_bounded_codes(nvars, deg, k)))
+    sizes = _fixed_monomial_counts((1,) * nvars, k)  # of every A_deg
+    return _span_piece(chain(gens, products()), sizes[deg] if deg < len(sizes) else 0)
 
 
 def _ideal_pieces(d: int, n: int, k: int):
@@ -278,14 +254,29 @@ def _ideal_pieces(d: int, n: int, k: int):
     deg ascending up to A's top degree d*n*(k - 1): each piece
     (:func:`_ideal_piece`) with its standard monomials, the monomials of
     A_deg that are not its pivots, a basis of the degree-deg quotient.
-    Columns, pivots and standard monomials are all monomial codes
-    (:func:`_bounded_codes`).  Only the two pieces that the next one reads
-    are held."""
-    nvars = d * n
+    Columns, pivots and standard monomials are all monomial codes.  Only
+    the two pieces that the next one reads are held.
+
+    The standard monomials of degree deg are read off those of deg - 1:
+    the candidates are every x_j * s that survives in A (:func:`_x_steps`),
+    and the standard ones are the candidates that are not pivots.  No
+    other monomial can be standard, because the standard monomials form an
+    order ideal (Macaulay's basis theorem): a pivot p is the least key of
+    row_p, and x_j * row_p lies in the next piece, so when x_j * p survives
+    in A it is the least key of x_j * row_p, since multiplying by x_j
+    preserves the order, and so a pivot.  Every divisor of a standard
+    monomial is then standard, and every standard monomial of positive
+    degree is some x_j times a standard monomial one degree lower."""
+    steps = _x_steps(d * n, k)
     below = ideal = None
-    for deg in range(nvars * (k - 1) + 1):
+    candidates = [0]  # A_0 is spanned by the monomial 1
+    for deg in range(d * n * (k - 1) + 1):
         below, ideal = ideal, _ideal_piece(d, n, k, deg, ideal, below)
-        yield deg, ideal, ideal.non_pivots(_bounded_codes(nvars, deg, k))
+        standard = ideal.non_pivots(candidates)
+        yield deg, ideal, standard
+        candidates = sorted(
+            {s + step for s in standard for step, wrap, top in steps if s % wrap < top}
+        )
 
 
 class _Reading(threading.local):
@@ -300,7 +291,7 @@ class _Reading(threading.local):
 _reading = _Reading()
 
 
-def _line_piece(n: int, k: int, deg: int) -> tuple[EchelonBasis, list[tuple[int, ...]]]:
+def _line_piece(n: int, k: int, deg: int) -> tuple[EchelonBasis, list[int]]:
     """The line ideal's degree-deg piece and its standard monomials: the
     one a decomposition is reading, or else, once the request is checked,
     walked up to from degree 0 and kept by nothing.  Past A's top degree
@@ -345,8 +336,8 @@ def _digit_table(weights: list[int], k: int) -> list[int]:
 @cache
 def _code_image(w: tuple[int, ...], k: int):
     """image(codes) for :func:`~spanrep.linalg.quotient_trace`: each code
-    (:func:`_bounded_codes`) of a monomial m over len(w) variables mapped
-    to the code of m read through w, (m_w[0], m_w[1], ...), with sign 1.
+    of a monomial m over len(w) variables mapped to the code of m read
+    through w, (m_w[0], m_w[1], ...), with sign 1.
 
     Digit w[i] of a code moves to digit i, so the image is a sum of one
     weight per digit, read off two digit tables, one for the high digits
@@ -420,8 +411,7 @@ def _check_commuting(d: int, n: int, k: int, top_degree: int | None) -> None:
 def quotient_basis(n: int, k: int, d: int) -> tuple[int, EchelonBasis]:
     """Dimension of the degree-d quotient piece, the number of its standard
     monomials, and the ideal piece of A_d in RREF, its columns keyed by the
-    codes of their monomials (:func:`_bounded_codes`), not by exponent
-    tuples.
+    codes of their monomials, not by exponent tuples.
 
     A standalone read walks the ideal up from degree 0;
     :func:`decompose_coinvariants` reads every degree in one walk."""

@@ -15,6 +15,9 @@
   columns of the line and d-plane oracles' pieces, computed digit by
   digit, and :func:`decoded_rows`, a code-keyed piece's rows keyed by
   exponent tuples again.
+- :func:`_bounded_monomials`: every exponent tuple of one degree with
+  each entry below a bound, listed in full, where the library reads each
+  degree's standard monomials off the degree below.
 - :func:`line_ideal_basis`: the line ideal's pieces in A = Q[x]/<x_i^k>,
   keyed by exponent tuples and chained through :func:`_ideal_step`, the
   step the library used before lines, d-planes and superspace shared one
@@ -63,9 +66,9 @@
   theta sign.
 
 The first two share no code with the library beyond monomial enumeration,
-the symmetric polynomials and cycle-type representatives.  The codes
-share nothing with the library.  The line
-ideal shares the echelon basis and the generators, and keeps its own
+the symmetric polynomials and cycle-type representatives.  The codes and
+the bounded monomials share nothing with the library.  The line ideal
+shares the echelon basis and the generators, and keeps its own
 step.  The next three share the library's echelon basis, super-monomial
 enumeration and monomial products, permute by :func:`apply_perm`, and the quotient
 shares the Schur readout and traces by :func:`callback_trace`; they
@@ -114,7 +117,6 @@ from spanrep.combinat import (
 from spanrep.errors import NotACharacterError
 from spanrep.linalg import EchelonBasis
 from spanrep.oracle import (
-    _bounded_monomials,
     _invariant_basis,
     _multidegree_basis,
     _span_piece,
@@ -343,6 +345,22 @@ def decode(code: int, nvars: int, k: int) -> tuple:
         code, e = divmod(code, k)
         digits.append(e)
     return tuple(reversed(digits))
+
+
+def _bounded_monomials(nvars: int, d: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of total degree d with every exponent below bound,
+    lexicographically ascending.  The tails are memoized for this call only,
+    so nothing outlives it."""
+
+    @cache
+    def tails(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:
+        if nvars == 0:
+            return ((),) if d == 0 else ()
+        return tuple(
+            (e,) + rest for e in range(min(d, bound - 1) + 1) for rest in tails(nvars - 1, d - e)
+        )
+
+    return tails(nvars, d)
 
 
 def decoded_rows(basis: EchelonBasis, nvars: int, k: int) -> list:

@@ -223,7 +223,7 @@ def test_reused_parser_answers_as_a_fresh_one(capsys):
 def test_cache_put_get_round_trip(tmp_path):
     env = make_envelope("frobenius", {"n": 3, "k": 2}, {"kind": "t", "rows": []}, "oracle")
     key = cache_key("frobenius", {"n": 3, "k": 2})
-    cache_put(tmp_path, key, env)
+    cache_put(tmp_path, key, envelope_bytes(env))
     status, got = cache_get(tmp_path, key)
     assert status == "hit"
     assert got == env
@@ -329,7 +329,8 @@ def test_cache_entry_from_before_the_formula_cut_is_not_served(capsys, tmp_path)
     uncut = degree_table_to_json(grfrob_tableaux(3, 2).by_degree)
     payload = {"kind": "frobenius_table", "n": 3, "k": 2, "max_degree": 1,
                "sources": {"formula": uncut}, "diff": []}
-    cache_put(tmp_path, old_key, make_envelope("frobenius", params, payload, "formula"))
+    envelope = make_envelope("frobenius", params, payload, "formula")
+    cache_put(tmp_path, old_key, envelope_bytes(envelope))
     code, out, _ = run_cli(
         capsys, "frobenius", "3", "2", "--max-degree", "1", "--source", "formula",
         "--cache-dir", str(tmp_path),

@@ -10,6 +10,7 @@ from math import comb, factorial, prod
 import pytest
 
 import reference
+from reference import _bounded_monomials
 from spanrep import oracle
 from spanrep.combinat import GradedPoly, Partition, partitions_of, syt_count, unpad
 from spanrep.errors import ScaleGuardError
@@ -20,8 +21,6 @@ from spanrep.oracle import (
     COMMUTING_MAX_PIECE,
     _check_commuting,
     _check_pieces,
-    _bounded_codes,
-    _bounded_monomials,
     _fixed_monomial_counts,
     _ideal_piece,
     _ideal_pieces,
@@ -93,16 +92,12 @@ def _reachable_spans():
     return sorted((nvars, k, t) for (nvars, k), t in top.items())
 
 
-def test_bounded_codes_are_the_codes_of_the_bounded_monomials():
-    try:
-        for nvars, k, top in _reachable_spans():
-            for deg in range(top + 1):
-                want = tuple(reference.encode(m, k) for m in _bounded_monomials(nvars, deg, k))
-                assert _bounded_codes(nvars, deg, k) == want, (nvars, k, deg)
-                assert list(want) == sorted(want), (nvars, k, deg)
-    finally:  # the monomials of the largest spans hold tens of MB
-        _bounded_monomials.cache_clear()
-        _bounded_codes.cache_clear()
+def test_codes_ascend_along_the_bounded_monomials():
+    # within one degree code order is the lexicographic order of monomials
+    for nvars, k, top in _reachable_spans():
+        for deg in range(top + 1):
+            codes = [reference.encode(m, k) for m in _bounded_monomials(nvars, deg, k)]
+            assert all(a < b for a, b in zip(codes, codes[1:])), (nvars, k, deg)
 
 
 def test_multiplying_codes_by_a_variable_is_one_addition():
@@ -891,6 +886,37 @@ def test_line_ideal_pieces_match_step_by_step_reference():
             # past A's top degree the piece is empty
             got = quotient_basis(n, k, deg + 1)[1].primitive_rows()
             assert got == reference.line_ideal_basis(n, k, deg + 1).primitive_rows() == []
+
+
+@pytest.mark.parametrize("d, n, k_max", GRASSMANN_REFERENCE_GRID)
+def test_d_plane_standard_monomials_are_the_non_pivots(d, n, k_max):
+    # the walk reads each degree's standard monomials off the degree below;
+    # they must be every monomial of A_deg that is not a pivot of the piece
+    nvars = d * n
+    for k in range(d, k_max + 1):
+        for deg, piece, standard in _ideal_pieces(d, n, k):
+            pivots = {reference.decode(p, nvars, k) for p in piece.pivots()}
+            want = [m for m in _bounded_monomials(nvars, deg, k) if m not in pivots]
+            assert [reference.decode(c, nvars, k) for c in standard] == want, (d, n, k, deg)
+        _assert_divisors_are_standard(d, n, k)
+
+
+def test_line_standard_monomials_are_an_order_ideal():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            _assert_divisors_are_standard(1, n, k)
+
+
+def _assert_divisors_are_standard(d, n, k):
+    """Every m / x_i of a standard monomial m of the d-plane walk is a
+    standard monomial one degree lower."""
+    lower = set()
+    for deg, _, standard in _ideal_pieces(d, n, k):
+        here = {reference.decode(c, d * n, k) for c in standard}
+        for m in here:
+            for i, e in enumerate(m):
+                assert not e or m[:i] + (e - 1,) + m[i + 1 :] in lower, (d, n, k, m)
+        lower = here
 
 
 def _watch_readouts(monkeypatch, record):
